@@ -6,8 +6,8 @@
 //! verifying candidates with `VpExtend` (Procedure 2: consistency,
 //! counterfactual, and size checks). Candidates are scanned in descending
 //! gain order, so the first strict pass *is* the argmax over passing
-//! candidates; the number of GNN inferences per round is capped by
-//! [`ApproxGvex::verify_scan_limit`]. When no candidate passes the strict
+//! candidates; every unselected node is verified each round (two GNN
+//! inferences per candidate). When no candidate passes the strict
 //! C2 check (common early in growth, when a 1-node subgraph cannot yet
 //! reproduce the label), the top-gain candidate is accepted and the strict
 //! conditions are re-checked on the final subgraph — the emitted
@@ -32,15 +32,12 @@ use gvex_linalg::cmp_score;
 pub struct ApproxGvex {
     /// The configuration `C`.
     pub config: Config,
-    /// Max strict `VpExtend` verifications (two GNN inferences each) per
-    /// greedy round before falling back to the top-gain candidate.
-    pub verify_scan_limit: usize,
 }
 
 impl ApproxGvex {
     /// Creates the algorithm with the given configuration.
     pub fn new(config: Config) -> Self {
-        Self { config, verify_scan_limit: usize::MAX }
+        Self { config }
     }
 
     /// Explains a single graph for `label` (Algorithm 1), returning the
@@ -109,40 +106,22 @@ impl ApproxGvex {
             // (a degenerate model output) ranks last instead of
             // panicking mid-explain or winning the sort.
             cand.sort_by(|a, b| cmp_score(b.0, a.0).then(a.1.cmp(&b.1)));
-            // Graded VpExtend over the top-gain candidates. A candidate
-            // passing both strict C2 conditions wins immediately (scanned
-            // in gain order, so this *is* the argmax over passing
-            // candidates, as in Algorithm 1 line 7). When no candidate
-            // passes strictly — common early in growth, when a tiny
-            // subgraph cannot yet reproduce the label — the soft score
-            // `p(l | G_t) − p(l | G \ G_t)` ranks candidates by how far
-            // they move both C2 conditions at once, and the best one is
-            // taken. Strictness is re-checked on the final subgraph.
-            // Scan pool: the top-gain candidates plus every unselected
-            // neighbor of V_S. The neighbors are what "extend an existing
-            // explanation subgraph in its original graph" (Algorithm 1
-            // line 5) — without them, peripheral but label-critical atoms
-            // (e.g. the oxygens of a nitro group) can sit below the
-            // influence-gain cutoff and never be verified.
-            let mut pool: Vec<(f64, NodeId)> =
-                cand.iter().copied().take(self.verify_scan_limit).collect();
-            {
-                let mut in_pool = vec![false; n];
-                for &(_, v) in &pool {
-                    in_pool[v as usize] = true;
-                }
-                for &s in &vs {
-                    for &nb in g.neighbors(s) {
-                        if !in_vs[nb as usize] && !in_pool[nb as usize] {
-                            in_pool[nb as usize] = true;
-                            pool.push((tracker.gain(nb), nb));
-                        }
-                    }
-                }
-                pool.sort_by(|a, b| cmp_score(b.0, a.0).then(a.1.cmp(&b.1)));
-            }
-            // Rank the pool by a graded VpExtend score that mirrors
-            // Procedure 2's condition order:
+            // Graded VpExtend over every unselected node, in gain order. A
+            // candidate passing both strict C2 conditions outranks every
+            // candidate that does not (Algorithm 1 line 7 takes the argmax
+            // over passing candidates). When no candidate passes strictly
+            // — common early in growth, when a tiny subgraph cannot yet
+            // reproduce the label — the soft score `p(l | G_t) −
+            // p(l | G \ G_t)` ranks candidates by how far they move both
+            // C2 conditions at once, and the best one is taken.
+            // Strictness is re-checked on the final subgraph. The scan
+            // includes every unselected neighbor of V_S, which is what
+            // "extend an existing explanation subgraph in its original
+            // graph" (Algorithm 1 line 5) needs: peripheral but
+            // label-critical atoms (e.g. the oxygens of a nitro group) can
+            // sit far down the influence-gain order.
+            //
+            // The graded score mirrors Procedure 2's condition order:
             //   - strict passes (consistent AND counterfactual) dominate;
             //   - then candidates keeping consistency, competing on
             //     counterfactual progress (1 - p_rest);
@@ -153,7 +132,7 @@ impl ApproxGvex {
             //     makes the emitted subgraphs summarizable by connected
             //     patterns.
             let mut soft_best: Option<(f64, NodeId)> = None;
-            for &(gain, v) in pool.iter() {
+            for &(gain, v) in &cand {
                 if vs.len() + 1 > u_l {
                     break;
                 }

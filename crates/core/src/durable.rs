@@ -1,8 +1,9 @@
 //! Durability attachment: wiring a [`gvex_store`] directory (per-shard
 //! write-ahead logs + periodic checkpoints) into an [`Engine`].
 //!
-//! The engine logs inside its commit sections (see the `durability`
-//! section of `engine.rs`); this module owns the *build-time* half:
+//! The engine logs from its commit pipeline (`Engine::commit` in
+//! `engine.rs`, the one path every mutator runs through); this module
+//! owns the *build-time* half:
 //!
 //! - **fresh directory** — open empty logs and write the seed state as
 //!   the initial checkpoint, so the directory is self-contained from
@@ -10,10 +11,12 @@
 //!   corrupt: the image its logs extend is missing);
 //! - **recovery** — rebuild every shard from the newest checkpoint
 //!   (slots, view records with materialized rows, live registrations),
-//!   then replay the logs **through the real engine methods**: each
-//!   logged op re-runs `insert_graphs` / `remove_graphs` / the explain
-//!   family with logging suppressed, so replay exercises exactly the
-//!   incremental-maintenance path the original op took.
+//!   then hand each logged op back to **the same commit pipeline** with
+//!   its `replay` argument set, which suppresses logging and automatic
+//!   checkpoints. A view op is its record; an insert or removal is
+//!   reassembled from its per-shard records into the batch as
+//!   submitted. Live execution and replay therefore run the same code,
+//!   incremental maintenance and window sweeps included.
 //!
 //! # Torn writes and cross-shard batches
 //!
@@ -43,7 +46,7 @@
 //! views, and live registrations — which is what the crash-matrix
 //! harness asserts.
 
-use crate::engine::{Engine, LiveView, Shard, ViewAlgo};
+use crate::engine::{Engine, LiveView, Op, Shard, ViewAlgo};
 use crate::store::{ViewId, ViewStore};
 use gvex_graph::{Epoch, GraphDb, PayloadPager, ShardId};
 use gvex_pager::PageCache;
@@ -54,7 +57,7 @@ use gvex_store::{
 use rustc_hash::FxHashMap;
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
 
 /// Per-engine durability state (the `Engine::dur` field).
@@ -70,8 +73,6 @@ pub(crate) struct Durability {
     pub(crate) op_seq: AtomicU64,
     /// Ops logged since the last checkpoint (the auto-cadence counter).
     pub(crate) ops_since_checkpoint: AtomicU64,
-    /// Set during replay: suppresses re-logging and auto-checkpoints.
-    pub(crate) replaying: AtomicBool,
     /// What recovery did, when this attachment recovered a directory.
     pub(crate) report: Option<RecoveryReport>,
 }
@@ -153,7 +154,6 @@ fn init_dur(
         checkpoint_every,
         op_seq: AtomicU64::new(op_seq),
         ops_since_checkpoint: AtomicU64::new(0),
-        replaying: AtomicBool::new(report.is_some()),
         report,
     })
 }
@@ -166,6 +166,13 @@ struct Batch {
     participants: Vec<u32>,
     /// `(shard, log offset, record)` — the pieces found.
     pieces: Vec<(usize, u64, WalRecord)>,
+}
+
+impl Batch {
+    /// Whether every participant's record survived.
+    fn complete(&self) -> bool {
+        self.participants.iter().all(|p| self.pieces.iter().any(|(s, _, _)| *s == *p as usize))
+    }
 }
 
 /// Rebuilds the engine from `ck` and replays the surviving logs.
@@ -264,9 +271,7 @@ fn recover(
     // -- 3. Split complete from incomplete batches; plan truncation.
     let mut discarded = 0u64;
     for b in batches.values() {
-        let complete =
-            b.participants.iter().all(|p| b.pieces.iter().any(|(s, _, _)| *s == *p as usize));
-        if complete {
+        if b.complete() {
             continue;
         }
         discarded += 1;
@@ -278,17 +283,13 @@ fn recover(
     // destroyed by it — that breaks the "partial batches are log
     // tails" invariant the writer mutexes guarantee, so it can only
     // mean external corruption.
-    for b in batches.values() {
-        let complete =
-            b.participants.iter().all(|p| b.pieces.iter().any(|(s, _, _)| *s == *p as usize));
-        if complete {
-            for (s, offset, rec) in &b.pieces {
-                if *offset >= truncate_at[*s] {
-                    return Err(StoreError::Corrupt(format!(
-                        "complete batch {} follows a partial batch in shard {s}'s log",
-                        rec.batch
-                    )));
-                }
+    for b in batches.values().filter(|b| b.complete()) {
+        for (s, offset, rec) in &b.pieces {
+            if *offset >= truncate_at[*s] {
+                return Err(StoreError::Corrupt(format!(
+                    "complete batch {} follows a partial batch in shard {s}'s log",
+                    rec.batch
+                )));
             }
         }
     }
@@ -300,8 +301,8 @@ fn recover(
         }
     }
 
-    // -- 4. Replay complete batches in ordinal order through the real
-    //    engine methods, with logging suppressed. Batches below the
+    // -- 4. Replay complete batches in ordinal order through the commit
+    //    pipeline, with logging suppressed. Batches below the
     //    image's op sequence predate the checkpoint (a crash between
     //    the checkpoint rename and the log reset leaves them behind):
     //    their effects are already in the image, so they are skipped.
@@ -322,11 +323,7 @@ fn recover(
     let mut replayed = 0u64;
     let mut next_seq = ck.op_seq;
     for (ordinal, batch) in &batches {
-        let complete = batch
-            .participants
-            .iter()
-            .all(|p| batch.pieces.iter().any(|(s, _, _)| *s == *p as usize));
-        if !complete || *ordinal < ck.op_seq {
+        if !batch.complete() || *ordinal < ck.op_seq {
             continue;
         }
         engine.clock.fetch_max(batch.epoch.saturating_sub(1), Ordering::SeqCst);
@@ -339,68 +336,47 @@ fn recover(
     let dur = engine.dur.as_mut().expect("durability just attached");
     dur.op_seq.store(next_seq, Ordering::SeqCst);
     dur.ops_since_checkpoint.store(next_seq - ck.op_seq, Ordering::SeqCst);
-    dur.replaying.store(false, Ordering::SeqCst);
     if let Some(r) = dur.report.as_mut() {
         r.ops_replayed = replayed;
     }
     Ok(())
 }
 
-/// Re-runs one complete batch through the engine method that logged it.
+/// Re-runs one complete batch through the engine's commit pipeline
+/// with logging suppressed. An insert or removal is reassembled from
+/// its per-shard records by `pos` into the batch as submitted; a view
+/// op is its record.
 fn replay_batch(engine: &Engine, batch: &Batch) -> Result<(), StoreError> {
-    match &batch.pieces[0].2.op {
+    let seq = batch.pieces[0].2.batch;
+    let mixed = || StoreError::Corrupt(format!("batch {seq} mixes op kinds across shards"));
+    let mut expected = Vec::new();
+    let op = match &batch.pieces[0].2.op {
         WalOp::Insert(_) => {
             let mut entries = Vec::new();
             for (_, _, rec) in &batch.pieces {
-                let WalOp::Insert(es) = &rec.op else {
-                    return Err(StoreError::Corrupt(format!(
-                        "batch {} mixes op kinds across shards",
-                        rec.batch
-                    )));
-                };
+                let WalOp::Insert(es) = &rec.op else { return Err(mixed()) };
                 entries.extend(es.iter().cloned());
             }
             entries.sort_unstable_by_key(|e| e.pos);
-            let expected: Vec<u32> = entries.iter().map(|e| e.id).collect();
-            let batch_in: Vec<_> = entries.into_iter().map(|e| (e.graph, e.truth)).collect();
-            let (ids, _) = engine.insert_graphs(batch_in);
-            if ids != expected {
-                return Err(StoreError::Corrupt(format!(
-                    "replayed insert batch {} allocated {ids:?}, log recorded {expected:?}",
-                    batch.pieces[0].2.batch
-                )));
-            }
+            expected = entries.iter().map(|e| e.id).collect();
+            Op::Insert(entries.into_iter().map(|e| (e.graph, e.truth)).collect())
         }
         WalOp::Remove(_) => {
             let mut entries = Vec::new();
             for (_, _, rec) in &batch.pieces {
-                let WalOp::Remove(es) = &rec.op else {
-                    return Err(StoreError::Corrupt(format!(
-                        "batch {} mixes op kinds across shards",
-                        rec.batch
-                    )));
-                };
+                let WalOp::Remove(es) = &rec.op else { return Err(mixed()) };
                 entries.extend(es.iter().copied());
             }
             entries.sort_unstable_by_key(|e| e.pos);
-            let ids: Vec<u32> = entries.into_iter().map(|e| e.id).collect();
-            engine.remove_graphs(&ids);
+            Op::Remove(entries.into_iter().map(|e| e.id).collect())
         }
-        WalOp::ExplainAll => {
-            engine.explain_all();
-        }
-        WalOp::ExplainLabel(label) => {
-            engine.explain_label(*label);
-        }
-        WalOp::Stream { label, fraction } => {
-            engine.stream(*label, *fraction);
-        }
-        WalOp::ExplainSubset { label, ids } => {
-            engine.explain_subset(*label, ids);
-        }
-        WalOp::StreamSubset { label, ids, fraction } => {
-            engine.stream_subset(*label, ids, *fraction);
-        }
+        view => Op::View(view.clone()),
+    };
+    let ids = engine.commit(op, true).graphs;
+    if ids != expected {
+        return Err(StoreError::Corrupt(format!(
+            "replayed insert batch {seq} allocated {ids:?}, log recorded {expected:?}"
+        )));
     }
     Ok(())
 }

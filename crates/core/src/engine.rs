@@ -72,6 +72,23 @@
 //! consistent cross-shard frontier that keeps answering while the
 //! writers advance.
 //!
+//! # One commit pipeline
+//!
+//! The seven mutators ([`Engine::insert_graphs`],
+//! [`Engine::remove_graphs`], [`Engine::explain_all`],
+//! [`Engine::explain_label`], [`Engine::explain_subset`],
+//! [`Engine::stream`], [`Engine::stream_subset`]) are one-line wrappers
+//! over a single private `commit(op, replay)`. Its input is the op
+//! itself: a view op is its [`WalOp`] variant, and an insert or removal
+//! is its submitted batch. Every op takes the same steps: automatic
+//! checkpoint → payload rebalance → route → writer mutexes (ascending
+//! shard order) → apply → WAL append at the op's commit epoch. Durable
+//! recovery hands each logged op back to the same path with `replay`
+//! set, which suppresses the append and the automatic checkpoint, so
+//! live execution and replay run the same code. One generator serves
+//! every view op and the staleness-bound recompute: it explains a label
+//! group, or a subset of it, with `ApproxGVEX` or `StreamGVEX`.
+//!
 //! ```no_run
 //! use gvex_core::{query::ViewQuery, Config, Engine};
 //! # let model = gvex_gnn::GcnModel::new(2, 8, 2, 3, 1);
@@ -94,7 +111,8 @@ use crate::query::{self, QueryResult, ViewQuery};
 use crate::snapshot::{Pins, SnapShard};
 use crate::store::{ViewId, ViewStore};
 use crate::{
-    parallel, ApproxGvex, Config, ContextCache, GraphContext, Snapshot, StreamGvex, ViewSet,
+    parallel, ApproxGvex, Config, ContextCache, ExplanationView, GraphContext, Snapshot,
+    StreamGvex, ViewSet,
 };
 use gvex_gnn::GcnModel;
 use gvex_graph::{
@@ -107,6 +125,8 @@ use gvex_store::{FsyncPolicy, InsertEntry, RemoveEntry, StoreError, WalOp, WalRe
 use rayon::prelude::*;
 use rayon::ThreadPool;
 use rustc_hash::{FxHashMap, FxHashSet};
+use std::borrow::Cow;
+use std::collections::BTreeMap;
 use std::ops::Deref;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -118,7 +138,6 @@ pub struct EngineBuilder {
     model: GcnModel,
     db: GraphDb,
     config: Config,
-    verify_scan_limit: usize,
     context_capacity: usize,
     staleness_bound: usize,
     threads: usize,
@@ -138,7 +157,6 @@ impl EngineBuilder {
             model,
             db,
             config: Config::default(),
-            verify_scan_limit: usize::MAX,
             context_capacity: usize::MAX,
             staleness_bound: 32,
             threads: 0,
@@ -154,13 +172,6 @@ impl EngineBuilder {
     /// Sets the configuration `C = (θ, r, {[b_l, u_l]})` (+ γ).
     pub fn config(mut self, config: Config) -> Self {
         self.config = config;
-        self
-    }
-
-    /// Caps strict `VpExtend` verifications per greedy round (see
-    /// [`ApproxGvex::verify_scan_limit`]).
-    pub fn verify_scan_limit(mut self, limit: usize) -> Self {
-        self.verify_scan_limit = limit;
         self
     }
 
@@ -304,8 +315,7 @@ impl EngineBuilder {
         let fsync = self.fsync;
         let checkpoint_every = self.checkpoint_every;
         let memory_budget = self.memory_budget;
-        let mut approx = ApproxGvex::new(self.config.clone());
-        approx.verify_scan_limit = self.verify_scan_limit;
+        let approx = ApproxGvex::new(self.config.clone());
         let stream = StreamGvex::new(self.config.clone());
         let contexts =
             Arc::new(ContextCache::with_capacity(self.config.clone(), self.context_capacity));
@@ -790,11 +800,108 @@ impl Engine {
     /// observe either the whole batch or none of it. Batches routed to
     /// disjoint shards proceed fully in parallel.
     pub fn insert_graphs(&self, batch: Vec<(Graph, Option<ClassLabel>)>) -> (Vec<GraphId>, Epoch) {
-        if batch.is_empty() {
-            return (Vec::new(), self.head());
+        let done = self.commit(Op::Insert(batch), false);
+        (done.graphs, done.epoch)
+    }
+
+    /// Removes graphs at a fresh epoch: tombstones their database slots
+    /// and index postings, drops their cached contexts, updates each
+    /// affected label view, and compacts state no pinned snapshot can
+    /// still observe. Unknown, already-removed, or malformed
+    /// (out-of-range shard bits) ids are skipped. Returns the epoch the
+    /// removal batch committed at (as with [`Engine::insert_graphs`],
+    /// view maintenance then commits at its own follow-up epoch, so
+    /// [`Engine::head`] may be one ahead).
+    pub fn remove_graphs(&self, ids: &[GraphId]) -> Epoch {
+        self.commit(Op::Remove(ids.to_vec()), false).epoch
+    }
+
+    /// Generates one view per label group of the database (the EVG
+    /// problem, §3.2) and stores them; returns the handles in label
+    /// order. Each view is registered for incremental maintenance.
+    ///
+    /// Label groups fan out on the engine pool (§A.7): every group is
+    /// explained in parallel — against its owning shard, with per-graph
+    /// parallelism within each group — and the views commit in label
+    /// order within each shard, so handles and view contents are
+    /// identical to explaining the labels one by one. Queries from
+    /// other threads keep being served while generation is in flight.
+    pub fn explain_all(&self) -> Vec<ViewId> {
+        self.commit(Op::View(WalOp::ExplainAll), false).views
+    }
+
+    /// Generates the explanation view for `label`'s whole label group
+    /// with `ApproxGVEX` (Algorithm 1), using cached contexts, inserts
+    /// it into the owning shard's store, and registers it for
+    /// incremental maintenance: later [`Engine::insert_graph`] /
+    /// [`Engine::remove_graphs`] calls keep it current. Only the owning
+    /// shard's writer serializes — explanations of labels owned by
+    /// other shards proceed in parallel.
+    pub fn explain_label(&self, label: ClassLabel) -> ViewId {
+        self.commit(Op::View(WalOp::ExplainLabel(label)), false).views[0]
+    }
+
+    /// Like [`Engine::explain_label`] restricted to `ids` (e.g. a test
+    /// split). Subset views are **not** registered for incremental
+    /// maintenance — maintenance tracks whole label groups. Stale,
+    /// removed, compacted, or foreign-shard ids in the subset are
+    /// skipped (not a panic): the view covers whatever the subset still
+    /// names within `label`'s owning shard.
+    pub fn explain_subset(&self, label: ClassLabel, ids: &[GraphId]) -> ViewId {
+        self.commit(Op::View(WalOp::ExplainSubset { label, ids: ids.to_vec() }), false).views[0]
+    }
+
+    /// Generates `label`'s view with `StreamGVEX` (Algorithm 3),
+    /// processing a prefix `fraction ∈ (0, 1]` of each node stream (the
+    /// anytime mode), inserts it into the owning shard's store, and
+    /// registers it for incremental maintenance at the same fraction.
+    pub fn stream(&self, label: ClassLabel, fraction: f64) -> ViewId {
+        self.commit(Op::View(WalOp::Stream { label, fraction }), false).views[0]
+    }
+
+    /// Like [`Engine::stream`] restricted to `ids` (not registered for
+    /// maintenance). Stale or foreign-shard ids are skipped, as in
+    /// [`Engine::explain_subset`].
+    pub fn stream_subset(&self, label: ClassLabel, ids: &[GraphId], fraction: f64) -> ViewId {
+        let op = WalOp::StreamSubset { label, ids: ids.to_vec(), fraction };
+        self.commit(Op::View(op), false).views[0]
+    }
+
+    // ---- the commit pipeline ------------------------------------------
+
+    /// Runs one mutation — live, or re-run by recovery with `replay` set
+    /// — through the pipeline every mutator shares: automatic
+    /// checkpoint and payload rebalance before any guard is taken, then
+    /// routing to the shards the op touches, their writer mutexes
+    /// (ascending), the apply, and the WAL append at the op's commit
+    /// epoch. `replay` suppresses the append and the automatic
+    /// checkpoint: a replayed op is already in the log. An empty insert
+    /// or a removal naming no shard of this engine commits nothing and
+    /// reports the head.
+    pub(crate) fn commit(&self, op: Op, replay: bool) -> Committed {
+        let noop = match &op {
+            Op::Insert(batch) => batch.is_empty(),
+            Op::Remove(ids) => ids.iter().all(|&id| self.shard_of(id).is_none()),
+            Op::View(_) => false,
+        };
+        if noop {
+            return Committed::at(self.head());
         }
-        self.maybe_checkpoint();
+        if !replay {
+            self.maybe_checkpoint();
+        }
         self.rebalance();
+        match op {
+            Op::Insert(batch) => self.commit_insert(batch, replay),
+            Op::Remove(ids) => self.commit_remove(&ids, replay),
+            Op::View(op) => self.commit_view(op, replay),
+        }
+    }
+
+    /// The insert arm of [`Engine::commit`] (see
+    /// [`Engine::insert_graphs`]). Under a retention window the expiry
+    /// sweep follows the commit.
+    fn commit_insert(&self, batch: Vec<(Graph, Option<ClassLabel>)>, replay: bool) -> Committed {
         // Classification and pattern-index matching of each arrival are
         // pre-computed here, in parallel, against the immutable model
         // and the owning shard's append-only index entries: entries
@@ -824,12 +931,9 @@ impl Engine {
         // cover only the splices — the VF2 matching already happened.
         let (epoch, clones) = {
             let mut guards = self.db_write_guards(&affected);
-            let seq = self.wal_seq();
-            let epoch = self.tick();
-            for (_, db) in guards.iter_mut() {
-                db.sync_epoch(epoch);
-            }
-            let mut logged: FxHashMap<usize, Vec<InsertEntry>> = FxHashMap::default();
+            let seq = self.wal_seq(replay);
+            let epoch = self.stamp(&mut guards);
+            let mut logged: BTreeMap<usize, Vec<InsertEntry>> = BTreeMap::new();
             for (i, ((g, truth), (predicted, matched))) in batch.into_iter().zip(prep).enumerate() {
                 let s = self.route(predicted);
                 let pos = affected.binary_search(&s).expect("shard in affected set");
@@ -851,23 +955,10 @@ impl Engine {
             // Log while the write guards are held: the op is durable
             // (per the fsync policy) before any reader can observe it.
             if let Some(seq) = seq {
-                let participants: Vec<u32> = affected.iter().map(|&s| s as u32).collect();
-                for &s in &affected {
-                    let entries = logged.remove(&s).expect("every affected shard got an entry");
-                    self.wal_append(
-                        s,
-                        &WalRecord {
-                            batch: seq,
-                            epoch: epoch.0,
-                            participants: participants.clone(),
-                            op: WalOp::Insert(entries),
-                        },
-                    );
-                }
+                let records = logged.into_iter().map(|(s, es)| (s, WalOp::Insert(es))).collect();
+                self.log(seq, epoch, records);
             }
-            let clones: Vec<(usize, GraphDb)> =
-                guards.iter().map(|(s, db)| (*s, (**db).clone())).collect();
-            (epoch, clones)
+            (epoch, clones_of(&guards))
         };
         // Maintenance runs on the commit-epoch clones with no lock
         // held: readers keep answering at the head while deltas stream.
@@ -886,7 +977,212 @@ impl Engine {
             drop(clones);
             self.sweep_window();
         }
-        (ids, epoch)
+        Committed { epoch, graphs: ids, views: Vec::new() }
+    }
+
+    /// The remove arm of [`Engine::commit`] (see
+    /// [`Engine::remove_graphs`]).
+    fn commit_remove(&self, ids: &[GraphId], replay: bool) -> Committed {
+        let affected = sorted_shards(ids.iter().filter_map(|&id| self.shard_of(id)));
+        let _w = self.writer_guards(&affected);
+        let (epoch, retired, clones) = {
+            let mut guards = self.db_write_guards(&affected);
+            let seq = self.wal_seq(replay);
+            let epoch = self.stamp(&mut guards);
+            let retired = self.retire(&mut guards, ids, epoch);
+            // Log *all* routed ids, stale ones included: replay must
+            // re-submit the batch as it was submitted so the epoch
+            // accounting (which ids were skipped) reproduces exactly.
+            if let Some(seq) = seq {
+                let mut logged: BTreeMap<usize, Vec<RemoveEntry>> = BTreeMap::new();
+                for (i, &id) in ids.iter().enumerate() {
+                    if let Some(s) = self.shard_of(id) {
+                        logged.entry(s).or_default().push(RemoveEntry { pos: i as u32, id });
+                    }
+                }
+                let records = logged.into_iter().map(|(s, es)| (s, WalOp::Remove(es))).collect();
+                self.log(seq, epoch, records);
+            }
+            (epoch, retired, clones_of(&guards))
+        };
+        self.finish_retire(clones, retired);
+        Committed::at(epoch)
+    }
+
+    /// The view arm of [`Engine::commit`]: one of the five view ops.
+    /// Each label's view is generated on a copy-on-write clone of its
+    /// owning shard with no lock held (labels fan out on the engine
+    /// pool), then the views commit in label order within each shard,
+    /// in ascending shard order, each shard's batch at a fresh epoch.
+    /// Whole-group views are registered for incremental maintenance;
+    /// subset views are not. One record, on the owning shard (shard 0
+    /// for `ExplainAll`, which recomputes every label), replays the
+    /// whole op.
+    fn commit_view(&self, op: WalOp, replay: bool) -> Committed {
+        let (label, subset, algo) = match &op {
+            WalOp::ExplainAll => (None, None, ViewAlgo::Approx),
+            WalOp::ExplainLabel(label) => (Some(*label), None, ViewAlgo::Approx),
+            WalOp::Stream { label, fraction } => {
+                (Some(*label), None, ViewAlgo::Stream { fraction: *fraction })
+            }
+            WalOp::ExplainSubset { label, ids } => (Some(*label), Some(&ids[..]), ViewAlgo::Approx),
+            WalOp::StreamSubset { label, ids, fraction } => {
+                (Some(*label), Some(&ids[..]), ViewAlgo::Stream { fraction: *fraction })
+            }
+            WalOp::Insert(_) | WalOp::Remove(_) => unreachable!("rows commit as Op::Insert/Remove"),
+        };
+        let locked = match label {
+            Some(l) => vec![self.route(l)],
+            None => sorted_shards(0..self.shards.len()),
+        };
+        let _w = self.writer_guards(&locked);
+        let clones: Vec<(usize, GraphDb)> =
+            locked.iter().map(|&s| (s, self.read_clone(s))).collect();
+        let labels: Vec<ClassLabel> = match label {
+            Some(l) => vec![l],
+            None => {
+                let mut all: Vec<ClassLabel> =
+                    clones.iter().flat_map(|(_, db)| db.labels()).collect();
+                all.sort_unstable();
+                all.dedup();
+                all
+            }
+        };
+        let views: Vec<ExplanationView> = self.on_pool(|| {
+            labels
+                .par_iter()
+                .map(|&l| self.generate(clone_of(&clones, self.route(l)), l, subset, algo))
+                .collect()
+        });
+        let mut per_shard: FxHashMap<usize, Vec<(ClassLabel, ExplanationView)>> =
+            FxHashMap::default();
+        for (label, view) in labels.iter().copied().zip(views) {
+            per_shard.entry(self.route(label)).or_default().push((label, view));
+        }
+        let mut handles: FxHashMap<ClassLabel, ViewId> = FxHashMap::default();
+        let mut first_epoch: Option<Epoch> = None;
+        for s in sorted_shards(per_shard.keys().copied()) {
+            let items = per_shard.remove(&s).expect("shard key");
+            let e = self.commit_shard_views(s, |db, store| {
+                for (label, view) in items {
+                    let local = store.insert(view, db);
+                    if subset.is_none() {
+                        let lv = LiveView { id: local, algo, staleness: 0 };
+                        self.shards[s].live.lock().expect("live view lock").insert(label, lv);
+                    }
+                    handles.insert(label, ViewId::sharded(s as ShardId, local));
+                }
+            });
+            first_epoch.get_or_insert(e);
+        }
+        // Nothing commits when `ExplainAll` finds no labels, so nothing
+        // is logged either. `ExplainAll` holds every writer mutex, so
+        // the clock cannot move between its first commit and this
+        // append.
+        let Some(epoch) = first_epoch else { return Committed::at(self.head()) };
+        if let Some(seq) = self.wal_seq(replay) {
+            self.log(seq, epoch, vec![(label.map_or(0, |l| self.route(l)), op)]);
+        }
+        Committed { epoch, graphs: Vec::new(), views: labels.iter().map(|l| handles[l]).collect() }
+    }
+
+    /// Generates `label`'s view over `db` with `algo`: over the whole
+    /// label group, or over `subset` (stale, removed, compacted, or
+    /// foreign-shard ids are skipped). The single generator behind every
+    /// view op and the staleness-bound recompute; per-graph work fans
+    /// out on the calling pool.
+    fn generate(
+        &self,
+        db: &GraphDb,
+        label: ClassLabel,
+        subset: Option<&[GraphId]>,
+        algo: ViewAlgo,
+    ) -> ExplanationView {
+        let ids = subset.map_or_else(|| Cow::Owned(db.label_group(label)), Cow::Borrowed);
+        match algo {
+            ViewAlgo::Approx => parallel::explain_label_parallel(
+                &self.approx,
+                &self.model,
+                db,
+                label,
+                &ids,
+                None,
+                &self.contexts,
+            ),
+            ViewAlgo::Stream { fraction } => self.stream.explain_label_cached(
+                &self.model,
+                db,
+                label,
+                &ids,
+                fraction,
+                &self.contexts,
+            ),
+        }
+    }
+
+    /// Ticks a fresh watermark epoch and stamps it on every guarded
+    /// shard database (the [`Engine::tick`] contract: `guards` are the
+    /// write locks of every shard the epoch stamps).
+    fn stamp(&self, guards: &mut [(usize, RwLockWriteGuard<'_, GraphDb>)]) -> Epoch {
+        let epoch = self.tick();
+        for (_, db) in guards.iter_mut() {
+            db.sync_epoch(epoch);
+        }
+        epoch
+    }
+
+    /// Tombstones every id of `ids` still live in its shard, in order,
+    /// at `epoch`: its database slot and index postings, plus a
+    /// retire-delta for its label view. `guards` hold the write locks of
+    /// every shard the ids route to; ids with out-of-range shard bits
+    /// or already dead are skipped.
+    fn retire(
+        &self,
+        guards: &mut [(usize, RwLockWriteGuard<'_, GraphDb>)],
+        ids: &[GraphId],
+        epoch: Epoch,
+    ) -> Retired {
+        let mut removed = Vec::new();
+        let mut work: FxHashMap<usize, FxHashMap<ClassLabel, FxHashSet<GraphId>>> =
+            FxHashMap::default();
+        for &id in ids {
+            let Some(s) = self.shard_of(id) else { continue };
+            let pos = guards.binary_search_by_key(&s, |(g, _)| *g).expect("shard in lock set");
+            let db = &mut *guards[pos].1;
+            if !db.contains(id) {
+                continue;
+            }
+            let predicted = db.predicted(id);
+            if db.remove(id) {
+                self.shards[s].store.on_remove_graph(db, id, epoch);
+                if let Some(l) = predicted {
+                    work.entry(s).or_default().entry(l).or_default().insert(id);
+                }
+                removed.push(id);
+            }
+        }
+        Retired { removed, work }
+    }
+
+    /// The post-commit half of a removal or an expiry sweep: drops the
+    /// retired graphs' cached contexts, streams their retire-deltas into
+    /// the registered label views against the commit-epoch `clones`,
+    /// and compacts what no pin still observes.
+    fn finish_retire(&self, clones: Vec<(usize, GraphDb)>, retired: Retired) {
+        self.contexts.remove(&retired.removed);
+        self.maintain_shards(
+            &clones,
+            retired
+                .work
+                .into_iter()
+                .map(|(s, by_label)| (s, sorted_label_work(FxHashMap::default(), by_label)))
+                .collect(),
+        );
+        // The maintenance clones share every payload Arc: they must be
+        // gone before compaction, or no tombstoned payload is ever
+        // sole-owned and the spill-to-extent path can never fire.
+        drop(clones);
+        self.compact_inner();
     }
 
     /// Whether a retention window is in effect.
@@ -905,149 +1201,22 @@ impl Engine {
     /// Nothing is logged: expiry is a deterministic function of slot
     /// metadata and the head epoch, so durable replay — which re-runs
     /// the logged inserts through this same path — re-derives the same
-    /// expiries at the same epochs.
+    /// expiries, in the same order, at the same epochs.
     fn sweep_window(&self) {
         let all = sorted_shards(0..self.shards.len());
-        let mut expired_by_shard: FxHashMap<usize, Vec<GraphId>> = FxHashMap::default();
-        let mut work: FxHashMap<usize, FxHashMap<ClassLabel, FxHashSet<GraphId>>> =
-            FxHashMap::default();
-        let mut expired = Vec::new();
-        let clones = {
+        let (expired, retired, clones) = {
             let mut guards = self.db_write_guards(&all);
-            let head = self.head();
-            let mut meta: Vec<(GraphId, Epoch, u64)> = Vec::new();
-            for (_, db) in &guards {
-                meta.extend(db.live_window_meta());
-            }
-            expired.extend(window_expired(self.retention, head, meta));
+            let meta = guards.iter().flat_map(|(_, db)| db.live_window_meta()).collect();
+            let expired = window_expired(self.retention, self.head(), meta);
             if expired.is_empty() {
                 return;
             }
-            for &id in &expired {
-                let s = self.shard_of(id).expect("expired id from a live shard");
-                expired_by_shard.entry(s).or_default().push(id);
-            }
-            let epoch = self.tick();
-            for (_, db) in guards.iter_mut() {
-                db.sync_epoch(epoch);
-            }
-            // Ascending shard order (ids within a shard are already
-            // ascending): removals apply in one deterministic order, so
-            // replay reproduces the store byte-identically.
-            for s in sorted_shards(expired_by_shard.keys().copied()) {
-                let ids = &expired_by_shard[&s];
-                let pos = all.binary_search(&s).expect("shard in lock set");
-                let db = &mut *guards[pos].1;
-                for &id in ids {
-                    let predicted = db.predicted(id);
-                    if db.remove(id) {
-                        self.shards[s].store.on_remove_graph(db, id, epoch);
-                        if let Some(l) = predicted {
-                            work.entry(s).or_default().entry(l).or_default().insert(id);
-                        }
-                    }
-                }
-            }
-            let clones: Vec<(usize, GraphDb)> =
-                guards.iter().map(|(s, db)| (*s, (**db).clone())).collect();
-            clones
+            let epoch = self.stamp(&mut guards);
+            let retired = self.retire(&mut guards, &expired, epoch);
+            (expired, retired, clones_of(&guards))
         };
-        self.contexts.remove(&expired);
-        self.maintain_shards(
-            &clones,
-            work.into_iter()
-                .map(|(s, by_label)| (s, sorted_label_work(FxHashMap::default(), by_label)))
-                .collect(),
-        );
-        // As in `remove_graphs`: the maintenance clones share payload
-        // Arcs and must drop before compaction can spill or free.
-        drop(clones);
-        self.compact_inner();
+        self.finish_retire(clones, retired);
         self.expired_total.fetch_add(expired.len() as u64, Ordering::Relaxed);
-    }
-
-    /// Removes graphs at a fresh epoch: tombstones their database slots
-    /// and index postings, drops their cached contexts, updates each
-    /// affected label view, and compacts state no pinned snapshot can
-    /// still observe. Unknown, already-removed, or malformed
-    /// (out-of-range shard bits) ids are skipped. Returns the epoch the
-    /// removal batch committed at (as with [`Engine::insert_graphs`],
-    /// view maintenance then commits at its own follow-up epoch, so
-    /// [`Engine::head`] may be one ahead).
-    pub fn remove_graphs(&self, ids: &[GraphId]) -> Epoch {
-        let affected = sorted_shards(ids.iter().filter_map(|&id| self.shard_of(id)));
-        if affected.is_empty() {
-            return self.head();
-        }
-        self.maybe_checkpoint();
-        self.rebalance();
-        let _w = self.writer_guards(&affected);
-        let mut removed = Vec::new();
-        let mut work: FxHashMap<usize, FxHashMap<ClassLabel, FxHashSet<GraphId>>> =
-            FxHashMap::default();
-        let (epoch, clones) = {
-            let mut guards = self.db_write_guards(&affected);
-            let seq = self.wal_seq();
-            let epoch = self.tick();
-            for (_, db) in guards.iter_mut() {
-                db.sync_epoch(epoch);
-            }
-            for &id in ids {
-                let Some(s) = self.shard_of(id) else { continue };
-                let pos = affected.binary_search(&s).expect("shard in affected set");
-                let db = &mut *guards[pos].1;
-                if !db.contains(id) {
-                    continue;
-                }
-                let predicted = db.predicted(id);
-                if db.remove(id) {
-                    self.shards[s].store.on_remove_graph(db, id, epoch);
-                    if let Some(l) = predicted {
-                        work.entry(s).or_default().entry(l).or_default().insert(id);
-                    }
-                    removed.push(id);
-                }
-            }
-            // Log *all* routed ids, stale ones included: replay must
-            // re-submit the batch as it was submitted so the epoch
-            // accounting (which ids were skipped) reproduces exactly.
-            if let Some(seq) = seq {
-                let mut logged: FxHashMap<usize, Vec<RemoveEntry>> = FxHashMap::default();
-                for (i, &id) in ids.iter().enumerate() {
-                    let Some(s) = self.shard_of(id) else { continue };
-                    logged.entry(s).or_default().push(RemoveEntry { pos: i as u32, id });
-                }
-                let participants: Vec<u32> = affected.iter().map(|&s| s as u32).collect();
-                for &s in &affected {
-                    let entries = logged.remove(&s).expect("every affected shard got an entry");
-                    self.wal_append(
-                        s,
-                        &WalRecord {
-                            batch: seq,
-                            epoch: epoch.0,
-                            participants: participants.clone(),
-                            op: WalOp::Remove(entries),
-                        },
-                    );
-                }
-            }
-            let clones: Vec<(usize, GraphDb)> =
-                guards.iter().map(|(s, db)| (*s, (**db).clone())).collect();
-            (epoch, clones)
-        };
-        self.contexts.remove(&removed);
-        self.maintain_shards(
-            &clones,
-            work.into_iter()
-                .map(|(s, by_label)| (s, sorted_label_work(FxHashMap::default(), by_label)))
-                .collect(),
-        );
-        // The maintenance clones share every payload Arc: they must be
-        // gone before compaction, or no tombstoned payload is ever
-        // sole-owned and the spill-to-extent path can never fire.
-        drop(clones);
-        self.compact_inner();
-        epoch
     }
 
     /// Reclaims graph payloads, index postings, and view versions that
@@ -1110,7 +1279,6 @@ impl Engine {
     /// fresh watermark epoch, so the store contents are identical to
     /// the sequential path and snapshots keep their repeatable reads.
     fn maintain_shards(&self, clones: &[(usize, GraphDb)], work: Vec<(usize, LabelWork)>) {
-        let db_of = |s: usize| &clones.iter().find(|(c, _)| *c == s).expect("clone for shard").1;
         let mut flat: Vec<(usize, ClassLabel, Vec<GraphId>, FxHashSet<GraphId>)> = work
             .into_iter()
             .flat_map(|(s, items)| items.into_iter().map(move |(l, a, r)| (s, l, a, r)))
@@ -1122,7 +1290,11 @@ impl Engine {
         let computed: Vec<(usize, ClassLabel, MaintainOutcome)> = self.on_pool(|| {
             flat.par_iter()
                 .map(|(s, label, added, removed)| {
-                    (*s, *label, self.maintain_one(*s, db_of(*s), *label, added, removed))
+                    (
+                        *s,
+                        *label,
+                        self.maintain_one(*s, clone_of(clones, *s), *label, added, removed),
+                    )
                 })
                 .collect()
         });
@@ -1163,26 +1335,7 @@ impl Engine {
         let lv = *sh.live.lock().expect("live view lock").get(&label)?;
         let old = sh.store.get(lv.id)?;
         if lv.staleness >= self.staleness_bound {
-            let ids = db.label_group(label);
-            let view = match lv.algo {
-                ViewAlgo::Approx => parallel::explain_label_parallel(
-                    &self.approx,
-                    &self.model,
-                    db,
-                    label,
-                    &ids,
-                    None,
-                    &self.contexts,
-                ),
-                ViewAlgo::Stream { fraction } => self.stream.explain_label_cached(
-                    &self.model,
-                    db,
-                    label,
-                    &ids,
-                    fraction,
-                    &self.contexts,
-                ),
-            };
+            let view = self.generate(db, label, None, lv.algo);
             return Some((LiveView { staleness: 0, ..lv }, view));
         }
         let fraction = match lv.algo {
@@ -1232,7 +1385,7 @@ impl Engine {
         sh.live.lock().expect("live view lock").get(&label).map(|lv| lv.staleness)
     }
 
-    // ---- view generation ----------------------------------------------
+    // ---- view-op helpers ----------------------------------------------
 
     /// Runs `f` in the engine-owned pool, or inline (global pool) when
     /// the engine fell back at build time.
@@ -1262,250 +1415,14 @@ impl Engine {
     /// are stamped with it — the repeatable-read half of the snapshot
     /// contract. (Lock order db → store matches the mutation commit
     /// sections; the store never reaches back for the engine's locks.)
-    /// Returns the closure's result and the commit epoch (the latter is
-    /// what the durability layer logs for exact-epoch replay).
-    fn commit_shard_views<R>(
-        &self,
-        s: usize,
-        commit: impl FnOnce(&GraphDb, &ViewStore) -> R,
-    ) -> (R, Epoch) {
+    /// Returns the commit epoch (what the durability layer logs for
+    /// exact-epoch replay).
+    fn commit_shard_views(&self, s: usize, commit: impl FnOnce(&GraphDb, &ViewStore)) -> Epoch {
         let mut db = self.shards[s].db.write().expect("db lock");
         let e = self.tick();
         db.sync_epoch(e);
-        (commit(&db, &self.shards[s].store), e)
-    }
-
-    /// Generates one view per label group of the database (the EVG
-    /// problem, §3.2) and stores them; returns the handles in label
-    /// order. Each view is registered for incremental maintenance.
-    ///
-    /// Label groups fan out on the engine pool (§A.7): every group is
-    /// explained in parallel — against its owning shard, with per-graph
-    /// parallelism within each group — and the views commit in label
-    /// order within each shard, so handles and view contents are
-    /// identical to explaining the labels one by one. Queries from
-    /// other threads keep being served while generation is in flight.
-    pub fn explain_all(&self) -> Vec<ViewId> {
-        self.maybe_checkpoint();
-        self.rebalance();
-        let all = sorted_shards(0..self.shards.len());
-        let _w = self.writer_guards(&all);
-        let clones: Vec<GraphDb> = (0..self.shards.len()).map(|s| self.read_clone(s)).collect();
-        let mut labels: Vec<ClassLabel> = clones.iter().flat_map(|db| db.labels()).collect();
-        labels.sort_unstable();
-        labels.dedup();
-        let views: Vec<crate::ExplanationView> = self.on_pool(|| {
-            labels
-                .par_iter()
-                .map(|&label| {
-                    let db = &clones[self.route(label)];
-                    let ids = db.label_group(label);
-                    parallel::explain_label_parallel(
-                        &self.approx,
-                        &self.model,
-                        db,
-                        label,
-                        &ids,
-                        None,
-                        &self.contexts,
-                    )
-                })
-                .collect()
-        });
-        let mut per_shard: FxHashMap<usize, Vec<(ClassLabel, crate::ExplanationView)>> =
-            FxHashMap::default();
-        for (label, view) in labels.iter().copied().zip(views) {
-            per_shard.entry(self.route(label)).or_default().push((label, view));
-        }
-        let mut handles: FxHashMap<ClassLabel, ViewId> = FxHashMap::default();
-        let mut first_epoch: Option<Epoch> = None;
-        for s in sorted_shards(per_shard.keys().copied()) {
-            let items = per_shard.remove(&s).expect("shard key");
-            let ((), e) = self.commit_shard_views(s, |db, store| {
-                for (label, view) in items {
-                    let local = store.insert(view, db);
-                    self.shards[s].live.lock().expect("live view lock").insert(
-                        label,
-                        LiveView { id: local, algo: ViewAlgo::Approx, staleness: 0 },
-                    );
-                    handles.insert(label, ViewId::sharded(s as ShardId, local));
-                }
-            });
-            first_epoch.get_or_insert(e);
-        }
-        // One record on shard 0 replays the whole op (it recomputes
-        // every label deterministically); nothing commits when there
-        // were no labels, so nothing is logged either. All writer
-        // mutexes are held, so the clock cannot move between the first
-        // commit and this append.
-        if let Some(first) = first_epoch {
-            if let Some(seq) = self.wal_seq() {
-                self.wal_append(
-                    0,
-                    &WalRecord {
-                        batch: seq,
-                        epoch: first.0,
-                        participants: vec![0],
-                        op: WalOp::ExplainAll,
-                    },
-                );
-            }
-        }
-        labels.iter().map(|l| handles[l]).collect()
-    }
-
-    /// Generates the explanation view for `label`'s whole label group
-    /// with `ApproxGVEX` (Algorithm 1), using cached contexts, inserts
-    /// it into the owning shard's store, and registers it for
-    /// incremental maintenance: later [`Engine::insert_graph`] /
-    /// [`Engine::remove_graphs`] calls keep it current. Only the owning
-    /// shard's writer serializes — explanations of labels owned by
-    /// other shards proceed in parallel.
-    pub fn explain_label(&self, label: ClassLabel) -> ViewId {
-        self.maybe_checkpoint();
-        self.rebalance();
-        let s = self.route(label);
-        let _w = self.shards[s].writer.lock().expect("writer lock");
-        let db = self.read_clone(s);
-        let ids = db.label_group(label);
-        let (vid, e) = self.explain_ids(s, &db, label, &ids);
-        self.shards[s]
-            .live
-            .lock()
-            .expect("live view lock")
-            .insert(label, LiveView { id: vid.local(), algo: ViewAlgo::Approx, staleness: 0 });
-        if let Some(seq) = self.wal_seq() {
-            self.wal_append(
-                s,
-                &WalRecord {
-                    batch: seq,
-                    epoch: e.0,
-                    participants: vec![s as u32],
-                    op: WalOp::ExplainLabel(label),
-                },
-            );
-        }
-        vid
-    }
-
-    /// Like [`Engine::explain_label`] restricted to `ids` (e.g. a test
-    /// split). Subset views are **not** registered for incremental
-    /// maintenance — maintenance tracks whole label groups. Stale,
-    /// removed, compacted, or foreign-shard ids in the subset are
-    /// skipped (not a panic): the view covers whatever the subset still
-    /// names within `label`'s owning shard.
-    pub fn explain_subset(&self, label: ClassLabel, ids: &[GraphId]) -> ViewId {
-        self.maybe_checkpoint();
-        self.rebalance();
-        let s = self.route(label);
-        let _w = self.shards[s].writer.lock().expect("writer lock");
-        let db = self.read_clone(s);
-        let (vid, e) = self.explain_ids(s, &db, label, ids);
-        if let Some(seq) = self.wal_seq() {
-            self.wal_append(
-                s,
-                &WalRecord {
-                    batch: seq,
-                    epoch: e.0,
-                    participants: vec![s as u32],
-                    op: WalOp::ExplainSubset { label, ids: ids.to_vec() },
-                },
-            );
-        }
-        vid
-    }
-
-    /// `ApproxGVEX` over `ids` against shard `s`'s head clone; no
-    /// engine lock is held during the explanation, so readers are
-    /// served throughout. The finished view commits at a fresh
-    /// watermark epoch. Returns the global (shard-bit) handle and the
-    /// commit epoch (for the caller's WAL record).
-    fn explain_ids(
-        &self,
-        s: usize,
-        db: &GraphDb,
-        label: ClassLabel,
-        ids: &[GraphId],
-    ) -> (ViewId, Epoch) {
-        let view = parallel::explain_label_parallel(
-            &self.approx,
-            &self.model,
-            db,
-            label,
-            ids,
-            self.pool.as_deref(),
-            &self.contexts,
-        );
-        let (local, e) = self.commit_shard_views(s, |db, store| store.insert(view, db));
-        (ViewId::sharded(s as ShardId, local), e)
-    }
-
-    /// Generates `label`'s view with `StreamGVEX` (Algorithm 3),
-    /// processing a prefix `fraction ∈ (0, 1]` of each node stream (the
-    /// anytime mode), inserts it into the owning shard's store, and
-    /// registers it for incremental maintenance at the same fraction.
-    pub fn stream(&self, label: ClassLabel, fraction: f64) -> ViewId {
-        self.maybe_checkpoint();
-        self.rebalance();
-        let s = self.route(label);
-        let _w = self.shards[s].writer.lock().expect("writer lock");
-        let db = self.read_clone(s);
-        let ids = db.label_group(label);
-        let (vid, e) = self.stream_ids(s, &db, label, &ids, fraction);
-        self.shards[s].live.lock().expect("live view lock").insert(
-            label,
-            LiveView { id: vid.local(), algo: ViewAlgo::Stream { fraction }, staleness: 0 },
-        );
-        if let Some(seq) = self.wal_seq() {
-            self.wal_append(
-                s,
-                &WalRecord {
-                    batch: seq,
-                    epoch: e.0,
-                    participants: vec![s as u32],
-                    op: WalOp::Stream { label, fraction },
-                },
-            );
-        }
-        vid
-    }
-
-    /// Like [`Engine::stream`] restricted to `ids` (not registered for
-    /// maintenance). Stale or foreign-shard ids are skipped, as in
-    /// [`Engine::explain_subset`].
-    pub fn stream_subset(&self, label: ClassLabel, ids: &[GraphId], fraction: f64) -> ViewId {
-        self.maybe_checkpoint();
-        self.rebalance();
-        let s = self.route(label);
-        let _w = self.shards[s].writer.lock().expect("writer lock");
-        let db = self.read_clone(s);
-        let (vid, e) = self.stream_ids(s, &db, label, ids, fraction);
-        if let Some(seq) = self.wal_seq() {
-            self.wal_append(
-                s,
-                &WalRecord {
-                    batch: seq,
-                    epoch: e.0,
-                    participants: vec![s as u32],
-                    op: WalOp::StreamSubset { label, ids: ids.to_vec(), fraction },
-                },
-            );
-        }
-        vid
-    }
-
-    fn stream_ids(
-        &self,
-        s: usize,
-        db: &GraphDb,
-        label: ClassLabel,
-        ids: &[GraphId],
-        fraction: f64,
-    ) -> (ViewId, Epoch) {
-        let view =
-            self.stream.explain_label_cached(&self.model, db, label, ids, fraction, &self.contexts);
-        let (local, e) = self.commit_shard_views(s, |db, store| store.insert(view, db));
-        (ViewId::sharded(s as ShardId, local), e)
+        commit(&db, &self.shards[s].store);
+        e
     }
 
     /// Resolves a global view handle to its current (head) version,
@@ -1562,39 +1479,43 @@ impl Engine {
     }
 
     /// Claims the next WAL batch ordinal, or `None` when the engine is
-    /// in-memory or currently replaying (replayed ops must not re-log).
-    /// Callers hold the writer mutexes of every shard the op touches,
-    /// so within a shard the claimed ordinals are monotone in commit
-    /// (epoch) order — the order replay relies on.
-    fn wal_seq(&self) -> Option<u64> {
-        let dur = self.dur.as_ref()?;
-        if dur.replaying.load(Ordering::SeqCst) {
-            return None;
-        }
+    /// in-memory or the op is a `replay` (already in the log). Callers
+    /// hold the writer mutexes of every shard the op touches, so within
+    /// a shard the claimed ordinals are monotone in commit (epoch)
+    /// order — the order replay relies on.
+    fn wal_seq(&self, replay: bool) -> Option<u64> {
+        let dur = self.dur.as_ref().filter(|_| !replay)?;
         dur.ops_since_checkpoint.fetch_add(1, Ordering::SeqCst);
         Some(dur.op_seq.fetch_add(1, Ordering::SeqCst))
     }
 
-    /// Appends `rec` to shard `s`'s log, inside the op's commit
-    /// section: the op is on stable storage (per the fsync policy)
-    /// before its effects become observable.
+    /// Appends op `seq`'s per-shard `records` (ascending shard order,
+    /// each naming every participant) at its commit `epoch`. Row ops
+    /// append inside their commit section, so the op is on stable
+    /// storage (per the fsync policy) before its effects become
+    /// observable.
     ///
     /// # Panics
-    /// Panics when the append fails — a durable engine that can no
+    /// Panics when an append fails — a durable engine that can no
     /// longer log cannot honor acknowledgements, so this is fail-stop
     /// by design (recovery replays the intact prefix).
-    fn wal_append(&self, s: usize, rec: &WalRecord) {
-        let dur = self.dur.as_ref().expect("wal_append requires a durable engine");
-        dur.wals[s].lock().expect("wal lock").append(rec).expect("WAL append must succeed");
+    fn log(&self, seq: u64, epoch: Epoch, records: Vec<(usize, WalOp)>) {
+        let dur = self.dur.as_ref().expect("logging requires a durable engine");
+        let participants: Vec<u32> = records.iter().map(|(s, _)| *s as u32).collect();
+        for (s, op) in records {
+            let rec =
+                WalRecord { batch: seq, epoch: epoch.0, participants: participants.clone(), op };
+            dur.wals[s].lock().expect("wal lock").append(&rec).expect("WAL append must succeed");
+        }
     }
 
     /// Runs the automatic checkpoint when the logged-op budget is
-    /// spent. Called at mutator entry **before** any guard is taken —
-    /// [`Engine::checkpoint`] acquires every writer mutex itself, and
-    /// the mutexes are not reentrant.
+    /// spent. Called by [`Engine::commit`] **before** any guard is
+    /// taken — [`Engine::checkpoint`] acquires every writer mutex
+    /// itself, and the mutexes are not reentrant.
     fn maybe_checkpoint(&self) {
         let Some(dur) = self.dur.as_ref() else { return };
-        if dur.checkpoint_every == 0 || dur.replaying.load(Ordering::SeqCst) {
+        if dur.checkpoint_every == 0 {
             return;
         }
         if dur.ops_since_checkpoint.load(Ordering::SeqCst) >= dur.checkpoint_every {
@@ -1723,6 +1644,46 @@ impl Engine {
     }
 }
 
+/// One mutation as submitted: the input of [`Engine::commit`], live and
+/// on replay alike.
+#[derive(Debug)]
+pub(crate) enum Op {
+    /// An insert batch. Logged as per-shard [`WalOp::Insert`] records;
+    /// replay reassembles the batch from them by `pos`.
+    Insert(Vec<(Graph, Option<ClassLabel>)>),
+    /// A removal batch as submitted, stale ids included. Logged as
+    /// per-shard [`WalOp::Remove`] records, reassembled the same way.
+    Remove(Vec<GraphId>),
+    /// One of the five view ops (`ExplainAll`, `ExplainLabel`,
+    /// `Stream`, `ExplainSubset`, `StreamSubset`), logged as is.
+    View(WalOp),
+}
+
+/// What [`Engine::commit`] produced.
+#[derive(Debug)]
+pub(crate) struct Committed {
+    /// The op's commit epoch (a multi-shard view op's first), or the
+    /// head when nothing committed.
+    pub(crate) epoch: Epoch,
+    /// Ids an insert allocated, in batch order.
+    pub(crate) graphs: Vec<GraphId>,
+    /// Handles a view op created, in label order.
+    pub(crate) views: Vec<ViewId>,
+}
+
+impl Committed {
+    fn at(epoch: Epoch) -> Self {
+        Committed { epoch, graphs: Vec::new(), views: Vec::new() }
+    }
+}
+
+/// What [`Engine::retire`] tombstoned: the ids actually removed, and
+/// the per-shard, per-label retire-deltas for view maintenance.
+struct Retired {
+    removed: Vec<GraphId>,
+    work: FxHashMap<usize, FxHashMap<ClassLabel, FxHashSet<GraphId>>>,
+}
+
 /// One shard's maintenance work list: per label, the graph ids added
 /// and removed by the mutation being maintained.
 type LabelWork = Vec<(ClassLabel, Vec<GraphId>, FxHashSet<GraphId>)>;
@@ -1738,6 +1699,17 @@ fn sorted_shards(it: impl IntoIterator<Item = usize>) -> Vec<usize> {
     v.sort_unstable();
     v.dedup();
     v
+}
+
+/// Copy-on-write clones of the guarded shard databases, tagged with
+/// their shard index.
+fn clones_of(guards: &[(usize, RwLockWriteGuard<'_, GraphDb>)]) -> Vec<(usize, GraphDb)> {
+    guards.iter().map(|(s, db)| (*s, (**db).clone())).collect()
+}
+
+/// Shard `s`'s entry of a [`clones_of`]-style clone list.
+fn clone_of(clones: &[(usize, GraphDb)], s: usize) -> &GraphDb {
+    &clones.iter().find(|(c, _)| *c == s).expect("clone for shard").1
 }
 
 /// Flattens per-label mutation deltas into the maintenance work list,

@@ -16,9 +16,19 @@
 //! to the per-graph explanation work inside.
 
 use std::cell::Cell;
+use std::sync::OnceLock;
 
 thread_local! {
     static INSTALLED_THREADS: Cell<usize> = const { Cell::new(0) };
+}
+
+/// Available hardware parallelism, read once per process. The std
+/// query re-reads cgroup files on every call, which is far too slow
+/// for a value asked for once per parallel loop; real rayon likewise
+/// fixes its width when the global pool is initialised.
+fn hardware_threads() -> usize {
+    static THREADS: OnceLock<usize> = OnceLock::new();
+    *THREADS.get_or_init(|| std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1))
 }
 
 /// Degree of parallelism `collect` uses on this thread: the installed
@@ -29,7 +39,7 @@ pub fn current_num_threads() -> usize {
     if installed > 0 {
         installed
     } else {
-        std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
+        hardware_threads()
     }
 }
 
@@ -67,11 +77,7 @@ impl ThreadPoolBuilder {
 
     /// Builds the pool. Never fails in the shim.
     pub fn build(self) -> Result<ThreadPool, ThreadPoolBuildError> {
-        let n = if self.num_threads == 0 {
-            std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
-        } else {
-            self.num_threads
-        };
+        let n = if self.num_threads == 0 { hardware_threads() } else { self.num_threads };
         Ok(ThreadPool { num_threads: n })
     }
 }

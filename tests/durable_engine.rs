@@ -15,7 +15,7 @@ use gvex_core::{Config, Engine, FsyncPolicy, StoreError, ViewQuery};
 use gvex_data::malnet_scale;
 use gvex_gnn::GcnModel;
 use gvex_graph::{ClassLabel, Epoch, Graph, GraphDb, GraphId};
-use gvex_store::{read_wal, truncate_wal, wal_path};
+use gvex_store::{read_wal, truncate_wal, wal_path, WalOp};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -89,6 +89,18 @@ enum Op {
     Remove(Vec<usize>),
     Explain(ClassLabel),
     Stream(ClassLabel),
+    ExplainAll,
+    /// Explain a label over the ids of these arrival ordinals (removed
+    /// ones included — the subset path skips them; ordinals not yet
+    /// inserted are dropped).
+    ExplainSubset(ClassLabel, Vec<usize>),
+    /// Stream a label over the ids of these arrival ordinals.
+    StreamSubset(ClassLabel, Vec<usize>),
+}
+
+/// The ids of `ordinals` among the arrivals so far.
+fn arrivals(ordinals: &[usize], ids: &[GraphId]) -> Vec<GraphId> {
+    ordinals.iter().filter_map(|&o| ids.get(o).copied()).collect()
 }
 
 /// Applies `op`, extending `ids` with any new arrivals.
@@ -99,8 +111,7 @@ fn apply(engine: &Engine, op: &Op, pool: &[Graph], ids: &mut Vec<GraphId>) {
             ids.extend(engine.insert_graphs(batch).0);
         }
         Op::Remove(ordinals) => {
-            let victims: Vec<GraphId> =
-                ordinals.iter().filter_map(|&o| ids.get(o).copied()).collect();
+            let victims = arrivals(ordinals, ids);
             if !victims.is_empty() {
                 engine.remove_graphs(&victims);
             }
@@ -110,6 +121,15 @@ fn apply(engine: &Engine, op: &Op, pool: &[Graph], ids: &mut Vec<GraphId>) {
         }
         Op::Stream(l) => {
             engine.stream(*l, 0.8);
+        }
+        Op::ExplainAll => {
+            engine.explain_all();
+        }
+        Op::ExplainSubset(l, ordinals) => {
+            engine.explain_subset(*l, &arrivals(ordinals, ids));
+        }
+        Op::StreamSubset(l, ordinals) => {
+            engine.stream_subset(*l, &arrivals(ordinals, ids), 0.7);
         }
     }
 }
@@ -163,11 +183,20 @@ fn assert_identical(a: &Engine, b: &Engine, labels: ClassLabel) {
     assert_eq!(ca, cb, "current view versions");
 }
 
+/// Runs on a 1-shard and a 2-shard engine. The 2-shard run uses the
+/// routing classifier, so insert and remove batches span both shards
+/// and replay reassembles them from per-shard records.
 #[test]
 fn fresh_directory_round_trips_through_recovery() {
+    for shards in [1, 2] {
+        round_trip_through_recovery(shards);
+    }
+}
+
+fn round_trip_through_recovery(shards: usize) {
     let scratch = Scratch::new("roundtrip");
     let db = malnet_scale(20, 41);
-    let model = model_for(&db);
+    let model = if shards == 1 { model_for(&db) } else { routed_model() };
     let pool: Vec<Graph> = malnet_scale(12, 99).iter().map(|(_, g)| g.clone()).collect();
     let ops = vec![
         Op::Explain(1),
@@ -175,13 +204,18 @@ fn fresh_directory_round_trips_through_recovery() {
         Op::Stream(2),
         Op::Insert(vec![3, 4]),
         Op::Remove(vec![0, 1]),
-        Op::Remove(vec![0]), // stale double-remove
+        Op::Remove(vec![0]),                 // stale double-remove
+        Op::ExplainSubset(0, vec![0, 2, 3]), // arrival 0 is removed
         Op::Insert(vec![5, 6, 7]),
+        Op::StreamSubset(1, vec![1, 4, 5, 6, 11]), // 1 removed, 11 never inserted
+        Op::Remove(vec![2, 5, 6]),
+        Op::ExplainAll,
     ];
 
-    let reference = Engine::builder(model.clone(), db.clone()).config(cfg()).build();
+    let reference = Engine::builder(model.clone(), db.clone()).config(cfg()).shards(shards).build();
     let durable = Engine::builder(model.clone(), db.clone())
         .config(cfg())
+        .shards(shards)
         .durable(scratch.path())
         .fsync(FsyncPolicy::Always)
         .build();
@@ -196,10 +230,20 @@ fn fresh_directory_round_trips_through_recovery() {
     assert_eq!(ids_a, ids_b, "sequential id allocation is reproducible");
     assert_eq!(durable.durable_ops(), Some(ops.len() as u64));
     drop(durable);
+    if shards > 1 {
+        // Both row-op kinds logged at least one batch spanning every shard.
+        let (segments, _, _) = read_wal(&wal_path(scratch.path(), 1)).expect("intact log");
+        let spans = |kind: fn(&WalOp) -> bool| {
+            segments.iter().any(|s| s.record.participants.len() == shards && kind(&s.record.op))
+        };
+        assert!(spans(|op| matches!(op, WalOp::Insert(_))), "no cross-shard insert batch");
+        assert!(spans(|op| matches!(op, WalOp::Remove(_))), "no cross-shard remove batch");
+    }
 
     // Recover over an *empty* seed — the directory is authoritative.
     let recovered =
         Engine::builder(model, GraphDb::new()).config(cfg()).durable(scratch.path()).build();
+    assert_eq!(recovered.num_shards(), shards, "the directory fixes the shard count");
     let report = recovered.recovery_report().expect("directory was recovered");
     assert_eq!(report.ops_replayed, ops.len() as u64, "every logged op replayed");
     assert_eq!(report.batches_discarded, 0);
@@ -445,7 +489,7 @@ fn reference_after(model: &GcnModel, db: &GraphDb, ops: &[Op], k: usize, pool: &
 fn random_ops(rng: &mut StdRng) -> Vec<Op> {
     let n = rng.gen_range(2..7usize);
     (0..n)
-        .map(|_| match rng.gen_range(0..7u8) {
+        .map(|_| match rng.gen_range(0..10u8) {
             0..=2 => {
                 Op::Insert((0..rng.gen_range(1..=3usize)).map(|_| rng.gen_range(0..10)).collect())
             }
@@ -453,9 +497,18 @@ fn random_ops(rng: &mut StdRng) -> Vec<Op> {
                 Op::Remove((0..rng.gen_range(1..=2usize)).map(|_| rng.gen_range(0..12)).collect())
             }
             5 => Op::Explain(rng.gen_range(0..5u16)),
-            _ => Op::Stream(rng.gen_range(0..5u16)),
+            6 => Op::Stream(rng.gen_range(0..5u16)),
+            7 => Op::ExplainAll,
+            8 => Op::ExplainSubset(rng.gen_range(0..5u16), subset_ordinals(rng)),
+            _ => Op::StreamSubset(rng.gen_range(0..5u16), subset_ordinals(rng)),
         })
         .collect()
+}
+
+/// Arrival ordinals for a subset op: removed arrivals and ones not yet
+/// inserted are both drawn.
+fn subset_ordinals(rng: &mut StdRng) -> Vec<usize> {
+    (0..rng.gen_range(1..=3usize)).map(|_| rng.gen_range(0..12)).collect()
 }
 
 proptest! {
@@ -508,7 +561,11 @@ proptest! {
                     true
                 }
                 Op::Remove(ordinals) => ordinals.iter().any(|&o| o < inserted),
-                Op::Explain(_) | Op::Stream(_) => true,
+                Op::Explain(_)
+                | Op::Stream(_)
+                | Op::ExplainAll
+                | Op::ExplainSubset(..)
+                | Op::StreamSubset(..) => true,
             };
             if logs {
                 logging_ops.push(i);
