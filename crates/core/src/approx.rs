@@ -6,14 +6,16 @@
 //! verifying candidates with `VpExtend` (Procedure 2: consistency,
 //! counterfactual, and size checks). Candidates are scanned in descending
 //! gain order, so the first strict pass *is* the argmax over passing
-//! candidates; every unselected node is verified each round (two GNN
-//! inferences per candidate). When no candidate passes the strict
-//! C2 check (common early in growth, when a 1-node subgraph cannot yet
-//! reproduce the label), the top-gain candidate is accepted and the strict
-//! conditions are re-checked on the final subgraph — the emitted
-//! [`ExplanationSubgraph`] records whether they hold. This keeps the
-//! greedy total (the paper's experiments likewise report explanations
-//! whose Fidelity- is not identically zero).
+//! candidates; every unselected node is verified each round. Each
+//! candidate costs exactly two GNN inferences, `M(G_t)` and
+//! `M(G \ G_t)`, both run by [`GcnModel::predict_masked`] on a node mask
+//! of the input graph, so no subgraph is built. When no candidate passes
+//! the strict C2 check (common early in growth, when a 1-node subgraph
+//! cannot yet reproduce the label), the top-gain candidate is accepted
+//! and the strict conditions are re-checked on the final subgraph — the
+//! emitted [`ExplanationSubgraph`] records whether they hold. This keeps
+//! the greedy total (the paper's experiments likewise report
+//! explanations whose Fidelity- is not identically zero).
 //!
 //! **Summarize phase.** `Psum` (see [`crate::psum`]) mines patterns from
 //! the explanation subgraphs and selects a node-covering set by greedy
@@ -91,6 +93,7 @@ impl ApproxGvex {
         let mut vs: Vec<NodeId> = Vec::with_capacity(u_l);
         let mut in_vs = vec![false; n];
         let mut tracker = GainTracker::new(ctx, &self.config);
+        let trace = std::env::var_os("GVEX_TRACE").is_some();
 
         // Explanation phase (lines 3-9): greedy growth under the upper
         // bound with VpExtend verification.
@@ -133,17 +136,11 @@ impl ApproxGvex {
             //     patterns.
             let mut soft_best: Option<(f64, NodeId)> = None;
             for &(gain, v) in &cand {
-                if vs.len() + 1 > u_l {
-                    break;
-                }
-                let mut vt = vs.clone();
-                vt.push(v);
-                let (sub, _) = g.induced_subgraph(&vt);
-                let p_sub = model.predict_proba(&sub)[label as usize];
-                let (rest, _) = g.remove_nodes(&vt);
-                let p_rest = model.predict_proba(&rest)[label as usize];
-                let consistent = model.predict(&sub) == label;
-                let counterfactual = model.predict(&rest) != label;
+                let (sub, rest) = verify_extension(model, g, &mut in_vs, v);
+                let p_sub = sub.1[label as usize];
+                let p_rest = rest.1[label as usize];
+                let consistent = sub.0 == label;
+                let counterfactual = rest.0 != label;
                 let strict_bonus = if consistent && counterfactual { 2.0 } else { 0.0 };
                 let base = if consistent { 1.0 + (1.0 - p_rest) } else { p_sub };
                 let adj_bonus =
@@ -172,19 +169,16 @@ impl ApproxGvex {
                 }
             }
             let v = soft_best.map(|(_, v)| v).unwrap_or(cand[0].1);
-            if std::env::var_os("GVEX_TRACE").is_some() {
-                let mut vt = vs.clone();
-                vt.push(v);
-                let (sub, _) = g.induced_subgraph(&vt);
-                let (rest, _) = g.remove_nodes(&vt);
+            if trace {
+                let (sub, rest) = verify_extension(model, g, &mut in_vs, v);
                 eprintln!(
                     "[gvex-trace] step {} pick node {} (type {}) score {:.3} p_sub {:.3} p_rest {:.3}",
                     vs.len(),
                     v,
                     g.node_type(v),
                     soft_best.map(|(s, _)| s).unwrap_or(f64::NAN),
-                    model.predict_proba(&sub)[label as usize],
-                    model.predict_proba(&rest)[label as usize],
+                    sub.1[label as usize],
+                    rest.1[label as usize],
                 );
             }
             tracker.add(v);
@@ -266,4 +260,21 @@ impl ApproxGvex {
             .collect();
         ViewSet { views }
     }
+}
+
+/// `VpExtend`'s two inferences for candidate `v`: the predictions
+/// (label, class probabilities) of `G_t` and of `G \ G_t`, where
+/// `V_t = in_vs ∪ {v}`. Marks `v` in `in_vs` for the two masked
+/// forwards and clears it again.
+fn verify_extension(
+    model: &GcnModel,
+    g: &Graph,
+    in_vs: &mut [bool],
+    v: NodeId,
+) -> ((ClassLabel, Vec<f64>), (ClassLabel, Vec<f64>)) {
+    in_vs[v as usize] = true;
+    let sub = model.predict_masked(g, in_vs, false);
+    let rest = model.predict_masked(g, in_vs, true);
+    in_vs[v as usize] = false;
+    (sub, rest)
 }

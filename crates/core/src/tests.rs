@@ -915,6 +915,145 @@ fn evidence_normalized_and_discriminative_on_planted_motif() {
     assert!(min.abs() < 1e-9, "min evidence normalized to 0");
 }
 
+// ---------- VpExtend: masked verification vs built subgraphs ----------
+
+/// The `VpExtend` greedy of [`ApproxGvex::explain_bounded`] as it was
+/// before verification moved onto node masks: every candidate builds
+/// `G_t` and `G \ G_t` as `Graph`s and classifies each with separate
+/// probability and label inferences, here through the training forward
+/// pass. Kept only as the oracle the masked path must reproduce exactly.
+fn reference_explain_bounded(
+    cfg: &Config,
+    model: &GcnModel,
+    g: &Graph,
+    graph_id: u32,
+    label: u16,
+    (b_l, u_l): (usize, usize),
+    ctx: &GraphContext,
+) -> Option<crate::ExplanationSubgraph> {
+    use gvex_linalg::{cmp_score, softmax_rows};
+    let n = g.num_nodes();
+    if n == 0 || b_l > n || u_l == 0 {
+        return None;
+    }
+    let proba = |h: &Graph| softmax_rows(&model.forward_graph(h).logits).row(0).to_vec();
+    let predict = |h: &Graph| {
+        let logits = model.forward_graph(h).logits;
+        let row = logits.row(0);
+        (0..row.len()).fold(0, |best, i| if row[i] > row[best] { i } else { best }) as u16
+    };
+    let u_l = u_l.min(n);
+    let mut vs: Vec<u32> = Vec::with_capacity(u_l);
+    let mut in_vs = vec![false; n];
+    let mut tracker = GainTracker::new(ctx, cfg);
+    while vs.len() < u_l {
+        let mut cand: Vec<(f64, u32)> =
+            (0..n as u32).filter(|&v| !in_vs[v as usize]).map(|v| (tracker.gain(v), v)).collect();
+        if cand.is_empty() {
+            break;
+        }
+        cand.sort_by(|a, b| cmp_score(b.0, a.0).then(a.1.cmp(&b.1)));
+        let mut soft_best: Option<(f64, u32)> = None;
+        for &(gain, v) in &cand {
+            let mut vt = vs.clone();
+            vt.push(v);
+            let (sub, _) = g.induced_subgraph(&vt);
+            let p_sub = proba(&sub)[label as usize];
+            let (rest, _) = g.remove_nodes(&vt);
+            let p_rest = proba(&rest)[label as usize];
+            let consistent = predict(&sub) == label;
+            let counterfactual = predict(&rest) != label;
+            let strict_bonus = if consistent && counterfactual { 2.0 } else { 0.0 };
+            let base = if consistent { 1.0 + (1.0 - p_rest) } else { p_sub };
+            let adj_bonus =
+                if g.neighbors(v).iter().any(|&w| in_vs[w as usize]) { 0.05 } else { 0.0 };
+            let gain_w = if strict_bonus > 0.0 { 0.5 } else { 0.01 };
+            let soft =
+                strict_bonus + base + adj_bonus + 0.3 * ctx.evidence[v as usize] + gain_w * gain;
+            if soft_best.is_none_or(|(s, _)| soft > s) {
+                soft_best = Some((soft, v));
+            }
+        }
+        let v = soft_best.map(|(_, v)| v).unwrap_or(cand[0].1);
+        tracker.add(v);
+        in_vs[v as usize] = true;
+        vs.push(v);
+    }
+    while vs.len() < b_l {
+        let next = (0..n as u32)
+            .filter(|&v| !in_vs[v as usize])
+            .map(|v| (tracker.gain(v), v))
+            .max_by(|a, b| cmp_score(a.0, b.0).then(b.1.cmp(&a.1)));
+        let (_, v) = next?;
+        tracker.add(v);
+        in_vs[v as usize] = true;
+        vs.push(v);
+    }
+    if vs.is_empty() {
+        return None;
+    }
+    vs.sort_unstable();
+    let (sub, _) = g.induced_subgraph(&vs);
+    let (rest, _) = g.remove_nodes(&vs);
+    Some(crate::ExplanationSubgraph {
+        graph_id,
+        consistent: predict(&sub) == label,
+        counterfactual: predict(&rest) != label,
+        nodes: vs,
+        score: tracker.score(),
+    })
+}
+
+/// `explain_with_context` (masked verification, two inferences per
+/// candidate) selects the same nodes with the same flags and the same
+/// score bits as the graph-building reference, across datasets, seeds,
+/// aggregators and coverage bounds.
+#[test]
+fn masked_vpextend_matches_graph_building_reference() {
+    use gvex_gnn::Aggregator;
+    let mut checked = 0usize;
+    let mut strict = 0usize;
+    for seed in 0..3u64 {
+        let mut db = mutagenicity(DataConfig { num_graphs: 16, seed, size_scale: 0.5 });
+        let ids: Vec<u32> = (0..db.len() as u32).collect();
+        let agg =
+            [Aggregator::GcnSym, Aggregator::GinSum(0.2), Aggregator::SageMean][seed as usize % 3];
+        let mut model = GcnModel::new(14, 12, 2, 3, seed).with_aggregator(agg);
+        let mut trainer = AdamTrainer::new(
+            &model,
+            TrainConfig { epochs: 40, lr: 5e-3, ..TrainConfig::default() },
+        );
+        trainer.fit(&mut model, &db, &ids);
+        AdamTrainer::classify_all(&model, &mut db, &ids);
+        for bounds in [(0, 3), (0, 6), (2, 5), (4, 10), (1, 40)] {
+            let cfg = Config::with_bounds(bounds.0, bounds.1);
+            let algo = ApproxGvex::new(cfg.clone());
+            for &id in ids.iter().take(8) {
+                let g = db.graph(id);
+                let label = db.predicted(id).expect("classified");
+                let ctx = GraphContext::build(&model, g, &cfg);
+                let got = algo.explain_with_context(&model, g, id, label, &ctx);
+                let want = reference_explain_bounded(&cfg, &model, g, id, label, bounds, &ctx);
+                match (got, want) {
+                    (None, None) => {}
+                    (Some(a), Some(b)) => {
+                        let what = format!("seed {seed} bounds {bounds:?} graph {id}");
+                        assert_eq!(a.nodes, b.nodes, "{what}: nodes");
+                        assert_eq!(a.consistent, b.consistent, "{what}: consistent");
+                        assert_eq!(a.counterfactual, b.counterfactual, "{what}: counterfactual");
+                        assert_eq!(a.score.to_bits(), b.score.to_bits(), "{what}: score");
+                        checked += 1;
+                        strict += usize::from(a.consistent && a.counterfactual);
+                    }
+                    (a, b) => panic!("seed {seed} bounds {bounds:?} graph {id}: {a:?} vs {b:?}"),
+                }
+            }
+        }
+    }
+    assert!(checked >= 100, "only {checked} explanations compared");
+    assert!(strict > 0, "no explanation passed C2 strictly; the oracle exercised nothing");
+}
+
 // ---------- stream under alternative aggregators ----------
 
 #[test]

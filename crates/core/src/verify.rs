@@ -29,12 +29,16 @@ impl EVerifyResult {
 }
 
 /// `EVerify` (§4): infers the labels of the candidate subgraph induced by
-/// `nodes` and of its complement, checking constraint C2.
+/// `nodes` and of its complement, checking constraint C2. Both inferences
+/// run on a node mask of `g` ([`GcnModel::predict_masked`]), so neither
+/// subgraph is built.
 pub fn everify(model: &GcnModel, g: &Graph, nodes: &[NodeId], label: ClassLabel) -> EVerifyResult {
-    let (sub, _) = g.induced_subgraph(nodes);
-    let consistent = model.predict(&sub) == label;
-    let (rest, _) = g.remove_nodes(nodes);
-    let counterfactual = model.predict(&rest) != label;
+    let mut keep = vec![false; g.num_nodes()];
+    for &v in nodes {
+        keep[v as usize] = true;
+    }
+    let consistent = model.predict_masked(g, &keep, false).0 == label;
+    let counterfactual = model.predict_masked(g, &keep, true).0 != label;
     EVerifyResult { consistent, counterfactual }
 }
 

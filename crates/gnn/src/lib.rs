@@ -11,7 +11,11 @@
 //!   for GNNExplainer-style mask learning that rescale the CSR values
 //!   in place instead of rebuilding a `|V|×|V|` matrix per epoch.
 //! - [`GcnModel`]: forward inference with cached activations, manual
-//!   backprop (weights, input features, and edge/feature masks).
+//!   backprop (weights, input features, and edge/feature masks), and an
+//!   inference-only path ([`GcnModel::predict_masked`]) that classifies
+//!   node-masked subgraphs in reused per-thread buffers without building
+//!   them — what every `predict*` call and the explainers' verification
+//!   loop run.
 //! - [`AdamTrainer`]: Adam optimization over a [`gvex_graph::GraphDb`].
 //! - [`influence`]: the expected-Jacobian feature influence of Eq. 3–4 in
 //!   two modes (`RandomWalk` closed form and exact `GatedJacobian`).
@@ -21,6 +25,7 @@
 //! `node_embeddings`, which is exactly the model-agnostic contract of the
 //! paper (Table 1, "MA").
 
+mod infer;
 pub mod influence;
 mod model;
 mod propagation;

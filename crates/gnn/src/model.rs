@@ -1,6 +1,6 @@
 use crate::{Aggregator, Propagation};
 use gvex_graph::{ClassLabel, Graph};
-use gvex_linalg::{cross_entropy, softmax_rows, CsrMatrix, Matrix};
+use gvex_linalg::{cross_entropy, CsrMatrix, Matrix};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -194,21 +194,19 @@ impl GcnModel {
 
     /// Predicted class label `M(G)`.
     pub fn predict(&self, g: &Graph) -> ClassLabel {
-        let fwd = self.forward_graph(g);
-        argmax_row(&fwd.logits) as ClassLabel
+        self.predict_full(g).0
     }
 
     /// Predicted class probabilities for `G` (softmax of the logits).
     pub fn predict_proba(&self, g: &Graph) -> Vec<f64> {
-        let fwd = self.forward_graph(g);
-        softmax_rows(&fwd.logits).row(0).to_vec()
+        self.predict_full(g).1
     }
 
-    /// Label and probability vector in one pass.
+    /// Label and probability vector in one pass. Runs the inference-only
+    /// path of [`GcnModel::predict_masked`]; bit-identical to the argmax
+    /// and softmax of [`GcnModel::forward_graph`]'s logits.
     pub fn predict_with_proba(&self, g: &Graph) -> (ClassLabel, Vec<f64>) {
-        let fwd = self.forward_graph(g);
-        let probs = softmax_rows(&fwd.logits).row(0).to_vec();
-        (argmax_row(&fwd.logits) as ClassLabel, probs)
+        self.predict_full(g)
     }
 
     /// Last-layer node representations `X^k` (used by the diversity measure
@@ -336,9 +334,8 @@ impl GcnModel {
     }
 }
 
-/// Index of the maximum entry in a single-row matrix.
-pub(crate) fn argmax_row(m: &Matrix) -> usize {
-    let row = m.row(0);
+/// Index of the maximum entry; the first one on ties.
+pub(crate) fn argmax(row: &[f64]) -> usize {
     let mut best = 0;
     for (i, &v) in row.iter().enumerate() {
         if v > row[best] {

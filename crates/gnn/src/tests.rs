@@ -597,3 +597,148 @@ mod sparse_dense {
         }
     }
 }
+
+// --- inference-only masked forward vs the built-subgraph oracle ---
+
+mod masked {
+    use super::*;
+    use crate::Aggregator;
+    use gvex_linalg::softmax_rows;
+    use rand::Rng;
+
+    /// A random graph with `n` nodes (possibly 0), random features and
+    /// edges drawn with probability `p`, so isolated nodes occur.
+    fn random_graph(n: usize, p: f64, dim: usize, rng: &mut StdRng) -> Graph {
+        let mut g = Graph::new(dim);
+        for _ in 0..n {
+            let feats: Vec<f64> = (0..dim).map(|_| rng.gen_range(-1.0..1.0)).collect();
+            g.add_node(0, &feats);
+        }
+        for u in 0..n as u32 {
+            for v in u + 1..n as u32 {
+                if rng.gen_range(0.0..1.0) < p {
+                    g.add_edge(u, v, 0);
+                }
+            }
+        }
+        g
+    }
+
+    /// Label and probabilities of the built induced subgraph through the
+    /// training forward pass: the oracle `predict_masked` must equal.
+    fn oracle(model: &GcnModel, g: &Graph, keep: &[bool], invert: bool) -> (u16, Vec<f64>) {
+        let kept: Vec<u32> =
+            (0..g.num_nodes() as u32).filter(|&v| keep[v as usize] != invert).collect();
+        let fwd = model.forward_graph(&g.induced_subgraph(&kept).0);
+        let probs = softmax_rows(&fwd.logits).row(0).to_vec();
+        (crate::model::argmax(fwd.logits.row(0)) as u16, probs)
+    }
+
+    /// A graph with `n` nodes and about `m` random edges — cheap to draw
+    /// for large `n`.
+    fn sparse_graph(n: usize, m: usize, dim: usize, rng: &mut StdRng) -> Graph {
+        let mut g = Graph::new(dim);
+        for _ in 0..n {
+            let feats: Vec<f64> = (0..dim).map(|_| rng.gen_range(-1.0..1.0)).collect();
+            g.add_node(0, &feats);
+        }
+        for _ in 0..m {
+            let (u, v) = (rng.gen_range(0..n as u32), rng.gen_range(0..n as u32));
+            if u != v {
+                g.add_edge(u, v, 0);
+            }
+        }
+        g
+    }
+
+    fn assert_bits_eq(got: &(u16, Vec<f64>), want: &(u16, Vec<f64>), what: &str) {
+        assert_eq!(got.0, want.0, "{what}: label");
+        let bits = |p: &[f64]| p.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&got.1), bits(&want.1), "{what}: probabilities");
+    }
+
+    fn aggregators() -> [Aggregator; 3] {
+        [Aggregator::GcnSym, Aggregator::GinSum(0.3), Aggregator::SageMean]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// `predict_masked` equals the forward of the built induced
+        /// subgraph bit for bit: every aggregator, both mask senses, on
+        /// random graphs (empty, one-node and isolated-node cases
+        /// included) and random, all-kept and none-kept masks.
+        #[test]
+        fn predict_masked_matches_built_subgraph(
+            seed in 0u64..10_000,
+            n in 0usize..14,
+            mask_kind in 0u8..4,
+        ) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let p = rng.gen_range(0.0..0.6);
+            let g = random_graph(n, p, 3, &mut rng);
+            let keep: Vec<bool> = match mask_kind {
+                0 => vec![true; n],
+                1 => vec![false; n],
+                _ => (0..n).map(|_| rng.gen_range(0.0..1.0) < 0.5).collect(),
+            };
+            for agg in aggregators() {
+                let layers = 1 + (seed % 3) as usize;
+                let model = GcnModel::new(3, 5, 3, layers, seed).with_aggregator(agg);
+                for invert in [false, true] {
+                    let got = model.predict_masked(&g, &keep, invert);
+                    assert_bits_eq(&got, &oracle(&model, &g, &keep, invert), &format!("{agg:?} invert={invert}"));
+                }
+                // The full-graph wrappers run the same path.
+                let full = oracle(&model, &g, &vec![true; n], false);
+                assert_bits_eq(&model.predict_with_proba(&g), &full, &format!("{agg:?} full"));
+                prop_assert_eq!(model.predict(&g), full.0);
+                prop_assert_eq!(model.predict_proba(&g), full.1);
+            }
+        }
+    }
+
+    /// One thread's workspace carries over between calls: a large graph,
+    /// a small one, the large one again, and one big enough that its
+    /// buffers are released afterwards, all agree with the oracle.
+    #[test]
+    fn workspace_reuse_across_sizes() {
+        let mut rng = StdRng::seed_from_u64(17);
+        let large = sparse_graph(300, 900, 4, &mut rng);
+        let small = random_graph(3, 0.7, 4, &mut rng);
+        let huge = sparse_graph(6000, 12_000, 4, &mut rng);
+        for agg in aggregators() {
+            let model = GcnModel::new(4, 32, 2, 3, 5).with_aggregator(agg);
+            for g in [&large, &small, &large, &huge, &small, &large] {
+                let keep: Vec<bool> = (0..g.num_nodes()).map(|v| v % 3 != 0).collect();
+                for invert in [false, true] {
+                    let got = model.predict_masked(g, &keep, invert);
+                    let want = oracle(&model, g, &keep, invert);
+                    assert_bits_eq(&got, &want, &format!("{agg:?} n={}", g.num_nodes()));
+                }
+            }
+        }
+    }
+
+    /// A call made while this thread's workspace is borrowed falls back
+    /// to a fresh workspace instead of panicking on the borrow.
+    #[test]
+    fn reentrant_call_uses_a_fresh_workspace() {
+        let mut rng = StdRng::seed_from_u64(3);
+        let g = random_graph(12, 0.3, 3, &mut rng);
+        let model = GcnModel::new(3, 6, 2, 2, 9);
+        let keep: Vec<bool> = (0..12).map(|v| v % 2 == 0).collect();
+        let inner = crate::infer::with_workspace(|_| model.predict_masked(&g, &keep, false));
+        assert_bits_eq(&inner, &oracle(&model, &g, &keep, false), "re-entrant");
+        // The outer workspace is usable again afterwards.
+        let after = model.predict_masked(&g, &keep, true);
+        assert_bits_eq(&after, &oracle(&model, &g, &keep, true), "after re-entry");
+    }
+
+    #[test]
+    #[should_panic(expected = "mask length")]
+    fn predict_masked_rejects_a_short_mask() {
+        let g = small_graph();
+        GcnModel::new(3, 4, 2, 1, 1).predict_masked(&g, &[true; 3], false);
+    }
+}

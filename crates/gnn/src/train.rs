@@ -99,7 +99,7 @@ impl AdamTrainer {
                 let fwd = model.forward(props[i].csr(), g.features());
                 let (loss, grads) = model.loss_backward(&fwd, target, false);
                 loss_sum += loss;
-                if crate::model::argmax_row(&fwd.logits) == target {
+                if crate::model::argmax(fwd.logits.row(0)) == target {
                     correct += 1;
                 }
                 self.step(model, &grads);

@@ -522,9 +522,10 @@ impl GraphDb {
         id
     }
 
-    /// Wraps a freshly materialized payload, tokenized for the pager's
-    /// resident-bytes gauge when one is attached.
-    fn make_resident(&self, graph: Graph) -> Payload {
+    /// Wraps a freshly materialized payload, shrunk to its own data and
+    /// tokenized for the pager's resident-bytes gauge when one is attached.
+    fn make_resident(&self, mut graph: Graph) -> Payload {
+        graph.shrink_to_fit();
         let tok = self
             .pager
             .as_ref()

@@ -37,6 +37,16 @@ impl Graph {
         }
     }
 
+    /// Creates an empty graph with room for `nodes` nodes, for callers
+    /// that know the node count up front.
+    pub fn with_capacity(feature_dim: usize, nodes: usize) -> Self {
+        let mut g = Self::new(feature_dim);
+        g.node_types.reserve_exact(nodes);
+        g.adj.reserve_exact(nodes);
+        g.features.reserve_rows(nodes);
+        g
+    }
+
     /// Adds a node of type `ty` with the given feature row; returns its id.
     ///
     /// # Panics
@@ -46,13 +56,17 @@ impl Graph {
         let id = self.node_types.len() as NodeId;
         self.node_types.push(ty);
         self.adj.push(SmallVec::new());
-        let mut grown = Matrix::zeros(self.node_types.len(), self.features.cols());
-        for r in 0..self.node_types.len() - 1 {
-            grown.row_mut(r).copy_from_slice(self.features.row(r));
-        }
-        grown.row_mut(self.node_types.len() - 1).copy_from_slice(features);
-        self.features = grown;
+        self.features.push_row(features);
         id
+    }
+
+    /// Drops the spare capacity node-at-a-time construction leaves in the
+    /// node tables and the feature matrix, so a graph kept for long
+    /// holds only its own data.
+    pub fn shrink_to_fit(&mut self) {
+        self.node_types.shrink_to_fit();
+        self.adj.shrink_to_fit();
+        self.features.shrink_to_fit();
     }
 
     /// Adds a node whose feature row is the one-hot encoding of its type.
@@ -185,7 +199,7 @@ impl Graph {
         order.sort_unstable();
         order.dedup();
         let mut remap: FxHashMap<NodeId, NodeId> = FxHashMap::default();
-        let mut sub = Graph::new(self.feature_dim());
+        let mut sub = Graph::with_capacity(self.feature_dim(), order.len());
         for &v in &order {
             let nv = sub.add_node(self.node_type(v), self.features.row(v as usize));
             remap.insert(v, nv);

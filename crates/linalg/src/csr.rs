@@ -1,7 +1,7 @@
 use crate::Matrix;
 use rayon::prelude::*;
 
-/// Minimum `nnz * rhs_cols` work before [`CsrMatrix::spmm_dense`] fans out
+/// Minimum `nnz * rhs_cols` work before [`spmm_into`] fans out
 /// across threads; below this the per-call thread-spawn cost of the rayon
 /// shim outweighs the parallel win.
 const PAR_SPMM_MIN_WORK: usize = 1 << 15;
@@ -259,15 +259,8 @@ impl CsrMatrix {
             .collect()
     }
 
-    /// Sparse × dense product `self · rhs`, the message-passing workhorse.
-    ///
-    /// Output rows are computed independently; when the total work
-    /// (`nnz × rhs.cols()`) is large enough the output buffer is split
-    /// into disjoint row bands filled in place in parallel
-    /// (`par_chunks_mut`) — no per-thread staging buffers and no
-    /// post-parallel concatenation. Bands are uniform in rows; real
-    /// rayon work-steals residual nnz imbalance away, and under the
-    /// shim graph operators are close to uniform-density per row.
+    /// Sparse × dense product `self · rhs`, the message-passing workhorse
+    /// (see [`spmm_into`] for the kernel).
     ///
     /// # Panics
     /// Panics on inner-dimension mismatch.
@@ -279,35 +272,69 @@ impl CsrMatrix {
             self.shape(),
             rhs.shape()
         );
-        let nc = rhs.cols();
-        let mut out = Matrix::zeros(self.rows, nc);
-        let work = self.nnz() * nc;
-        let threads = rayon::current_num_threads();
-        if work < PAR_SPMM_MIN_WORK || threads <= 1 || self.rows <= 1 {
-            self.spmm_rows_into(0, self.rows, rhs, out.data_mut());
-            return out;
-        }
-        let band_rows = self.rows.div_ceil(threads).max(1);
-        out.data_mut().par_chunks_mut(band_rows * nc).enumerate().for_each(|(i, band)| {
-            let lo = i * band_rows;
-            let hi = (lo + band_rows).min(self.rows);
-            self.spmm_rows_into(lo, hi, rhs, band);
-        });
+        let mut out = Matrix::zeros(self.rows, rhs.cols());
+        spmm_into(
+            &self.indptr,
+            &self.indices,
+            &self.values,
+            rhs.data(),
+            rhs.cols(),
+            out.data_mut(),
+        );
         out
     }
+}
 
-    /// Serial kernel: accumulates rows `lo..hi` of `self · rhs` into `buf`
-    /// (row-major, `(hi - lo) * rhs.cols()` long, assumed zeroed).
-    fn spmm_rows_into(&self, lo: usize, hi: usize, rhs: &Matrix, buf: &mut [f64]) {
-        let nc = rhs.cols();
+/// Sparse × dense product on borrowed CSR parts: adds `S · rhs` into
+/// `out`, where `S` is given by `indptr`/`indices`/`values`, `rhs` is
+/// row-major with `nc` columns, and `out` is row-major,
+/// `(indptr.len() - 1) * nc` long and zeroed by the caller. Each output
+/// row sums its stored entries in CSR order, so the result does not
+/// depend on how rows are split across threads.
+///
+/// When the total work (`nnz × nc`) is large enough the output buffer
+/// is split into disjoint row bands filled in place in parallel
+/// (`par_chunks_mut`) — no per-thread staging buffers and no
+/// post-parallel concatenation. Bands are uniform in rows; real rayon
+/// work-steals residual nnz imbalance away, and under the shim graph
+/// operators are close to uniform-density per row.
+///
+/// This is the kernel behind [`CsrMatrix::spmm_dense`]; callers that
+/// build an operator into reused buffers call it directly.
+///
+/// # Panics
+/// Panics if `out` has the wrong length.
+pub fn spmm_into(
+    indptr: &[usize],
+    indices: &[u32],
+    values: &[f64],
+    rhs: &[f64],
+    nc: usize,
+    out: &mut [f64],
+) {
+    let rows = indptr.len().saturating_sub(1);
+    assert_eq!(out.len(), rows * nc, "spmm output length mismatch");
+    let kernel = |lo: usize, hi: usize, buf: &mut [f64]| {
         for r in lo..hi {
-            let (cols, vals) = self.row(r);
+            let span = indptr[r]..indptr[r + 1];
             let out_row = &mut buf[(r - lo) * nc..(r - lo + 1) * nc];
-            for (&c, &v) in cols.iter().zip(vals) {
-                for (o, &b) in out_row.iter_mut().zip(rhs.row(c as usize)) {
+            for (&c, &v) in indices[span.clone()].iter().zip(&values[span]) {
+                let c = c as usize;
+                for (o, &b) in out_row.iter_mut().zip(&rhs[c * nc..(c + 1) * nc]) {
                     *o += v * b;
                 }
             }
         }
+    };
+    let work = values.len() * nc;
+    let threads = rayon::current_num_threads();
+    if work < PAR_SPMM_MIN_WORK || threads <= 1 || rows <= 1 {
+        kernel(0, rows, out);
+        return;
     }
+    let band_rows = rows.div_ceil(threads).max(1);
+    out.par_chunks_mut(band_rows * nc).enumerate().for_each(|(i, band)| {
+        let lo = i * band_rows;
+        kernel(lo, (lo + band_rows).min(rows), band);
+    });
 }

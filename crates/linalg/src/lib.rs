@@ -15,9 +15,9 @@ mod csr;
 mod matrix;
 mod ops;
 
-pub use csr::CsrMatrix;
-pub use matrix::Matrix;
-pub use ops::{cmp_cost, cmp_score, cross_entropy, softmax_rows};
+pub use csr::{spmm_into, CsrMatrix};
+pub use matrix::{gemm_into, Matrix};
+pub use ops::{cmp_cost, cmp_score, cross_entropy, softmax_in_place, softmax_rows};
 
 #[cfg(test)]
 mod tests;

@@ -127,9 +127,29 @@ impl Matrix {
         &mut self.data[r * self.cols..(r + 1) * self.cols]
     }
 
-    /// Matrix product `self * rhs`.
+    /// Appends `row` as a new last row — amortized `O(cols)`, since the
+    /// flat buffer grows in place instead of being rebuilt.
     ///
-    /// Classic ikj loop order so the inner loop streams over contiguous rows.
+    /// # Panics
+    /// Panics if `row.len() != self.cols()`.
+    pub fn push_row(&mut self, row: &[f64]) {
+        assert_eq!(row.len(), self.cols, "row length must equal the column count");
+        self.data.extend_from_slice(row);
+        self.rows += 1;
+    }
+
+    /// Reserves room for exactly `additional` more rows, so that many
+    /// [`Matrix::push_row`] calls never reallocate.
+    pub fn reserve_rows(&mut self, additional: usize) {
+        self.data.reserve_exact(additional * self.cols);
+    }
+
+    /// Drops the spare capacity [`Matrix::push_row`] growth leaves behind.
+    pub fn shrink_to_fit(&mut self) {
+        self.data.shrink_to_fit();
+    }
+
+    /// Matrix product `self * rhs` (see [`gemm_into`] for the kernel).
     ///
     /// # Panics
     /// Panics on inner-dimension mismatch.
@@ -142,19 +162,7 @@ impl Matrix {
             rhs.shape()
         );
         let mut out = Matrix::zeros(self.rows, rhs.cols);
-        for i in 0..self.rows {
-            let a_row = self.row(i);
-            for (k, &a) in a_row.iter().enumerate() {
-                if a == 0.0 {
-                    continue;
-                }
-                let b_row = rhs.row(k);
-                let o_row = out.row_mut(i);
-                for (j, &b) in b_row.iter().enumerate() {
-                    o_row[j] += a * b;
-                }
-            }
-        }
+        gemm_into(self.rows, &self.data, rhs, &mut out.data);
         out
     }
 
@@ -276,5 +284,34 @@ impl Matrix {
             out.row_mut(i).copy_from_slice(self.row(r));
         }
         out
+    }
+}
+
+/// Dense product on a borrowed left operand: adds `lhs · rhs` into
+/// `out`, where `lhs` is row-major `rows × rhs.rows()` and `out` is
+/// row-major `rows × rhs.cols()`, zeroed by the caller.
+///
+/// Classic ikj loop order so the inner loop streams over contiguous
+/// rows; exact-zero left entries are skipped (post-ReLU activations are
+/// sparse). This is the kernel behind [`Matrix::matmul`]; callers that
+/// keep activations in reused buffers call it directly.
+///
+/// # Panics
+/// Panics if `lhs` or `out` does not match the shapes.
+pub fn gemm_into(rows: usize, lhs: &[f64], rhs: &Matrix, out: &mut [f64]) {
+    let (inner, nc) = rhs.shape();
+    assert_eq!(lhs.len(), rows * inner, "gemm left operand length mismatch");
+    assert_eq!(out.len(), rows * nc, "gemm output length mismatch");
+    for i in 0..rows {
+        let a_row = &lhs[i * inner..(i + 1) * inner];
+        let o_row = &mut out[i * nc..(i + 1) * nc];
+        for (k, &a) in a_row.iter().enumerate() {
+            if a == 0.0 {
+                continue;
+            }
+            for (o, &b) in o_row.iter_mut().zip(rhs.row(k)) {
+                *o += a * b;
+            }
+        }
     }
 }

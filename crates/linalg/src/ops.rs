@@ -30,21 +30,24 @@ fn nan_to(x: f64, sub: f64) -> f64 {
 
 /// Row-wise numerically-stable softmax.
 pub fn softmax_rows(logits: &Matrix) -> Matrix {
-    let mut out = Matrix::zeros(logits.rows(), logits.cols());
-    for r in 0..logits.rows() {
-        let row = logits.row(r);
-        let max = row.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
-        let mut sum = 0.0;
-        for (c, &v) in row.iter().enumerate() {
-            let e = (v - max).exp();
-            out.set(r, c, e);
-            sum += e;
-        }
-        for c in 0..logits.cols() {
-            out.set(r, c, out.get(r, c) / sum);
-        }
+    let mut out = logits.clone();
+    for r in 0..out.rows() {
+        softmax_in_place(out.row_mut(r));
     }
     out
+}
+
+/// Numerically-stable softmax of one row of logits, in place.
+pub fn softmax_in_place(row: &mut [f64]) {
+    let max = row.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
+    let mut sum = 0.0;
+    for v in row.iter_mut() {
+        *v = (*v - max).exp();
+        sum += *v;
+    }
+    for v in row.iter_mut() {
+        *v /= sum;
+    }
 }
 
 /// Cross-entropy loss of a single softmax row against a class index,

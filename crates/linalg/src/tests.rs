@@ -34,6 +34,26 @@ fn matmul_shape_mismatch_panics() {
 }
 
 #[test]
+fn push_row_builds_the_same_matrix_as_from_rows() {
+    let rows = vec![vec![1.0, -2.0, 0.5], vec![0.0, 3.0, -0.0], vec![4.0, 5.0, 6.0]];
+    let mut m = Matrix::zeros(0, 3);
+    for r in &rows {
+        m.push_row(r);
+    }
+    m.shrink_to_fit();
+    let want = Matrix::from_rows(&rows);
+    assert_eq!(m.shape(), (3, 3));
+    let bits = |x: &Matrix| x.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+    assert_eq!(bits(&m), bits(&want));
+}
+
+#[test]
+#[should_panic(expected = "row length")]
+fn push_row_rejects_a_ragged_row() {
+    Matrix::zeros(0, 2).push_row(&[1.0]);
+}
+
+#[test]
 fn transpose_involution() {
     let a = Matrix::from_rows(&[vec![1.0, 2.0, 3.0], vec![4.0, 5.0, 6.0]]);
     assert_eq!(a.transpose().transpose(), a);

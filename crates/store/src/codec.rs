@@ -237,7 +237,7 @@ impl<'a> Dec<'a> {
         if n.saturating_mul(per_node) > self.buf.len() - self.pos {
             return Err(CodecError(format!("graph claims {n} nodes past end of buffer")));
         }
-        let mut g = Graph::new(dim);
+        let mut g = Graph::with_capacity(dim, n);
         let mut feats = vec![0.0f64; dim];
         for _ in 0..n {
             let ty = self.u16()?;
