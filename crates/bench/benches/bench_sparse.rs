@@ -12,7 +12,7 @@ use gvex_gnn::{GcnModel, Propagation};
 fn bench_operator_apply(c: &mut Criterion) {
     let g = reference_graph(512, 42);
     let prop = Propagation::new(&g);
-    let dense = prop.to_dense();
+    let dense = prop.csr().to_dense();
     let x = g.features().clone();
     c.bench_function("operator_apply_dense_512", |b| {
         b.iter(|| std::hint::black_box(dense.matmul(&x)))

@@ -16,39 +16,23 @@
 //! 10^5-graph database with a query-identity hard check (writes
 //! `BENCH_PR7.json`).
 //!
-//! Usage: `bench_quick [--check] [--out PATH] [--out-queries PATH]
-//! [--out-online PATH] [--out-concurrent PATH] [--out-sharded PATH]
-//! [--out-durable PATH] [--nodes N]`
+//! Usage: `bench_quick [--check] [--out-dir DIR]`
 //!
-//! - `--check`: exit non-zero if sparse masked propagation is not at
-//!   least as fast as the dense baseline, if indexed query answering
-//!   is not at least as fast as the scan, if an incremental
-//!   single-graph insert is not at least 5x faster than a full
-//!   `explain_label` recompute, if pooled `explain_all` misses the
-//!   machine-scaled speedup threshold (2x on machines with >= 4
-//!   cores), if reader throughput under a concurrent writer is zero,
-//!   if the 2-shard engine misses its machine-scaled throughput
-//!   threshold over the 1-shard engine, if WAL-on insert throughput
-//!   drops below half the in-memory rate under `FsyncPolicy::Batch`,
-//!   or if recovering the 10^5-graph database exceeds its wall-clock
-//!   budget (the CI regression gates).
+//! - `--check`: once every section has run, exit 1 if any gate failed:
+//!   sparse masked propagation slower than the dense baseline, indexed
+//!   query answering slower than the scan, an incremental single-graph
+//!   insert less than 5x faster than a full `explain_label` recompute,
+//!   pooled `explain_all` under its cores-tiered speedup bar (2x with
+//!   at least 4 cores), no reads served under a concurrent writer, the
+//!   2-shard engine under its cores-tiered throughput bar over the
+//!   1-shard engine, WAL-on insert throughput below half the in-memory
+//!   rate under `FsyncPolicy::Batch`, or recovery of the 10^5-graph
+//!   database over its wall-clock budget (the CI regression gates).
 //!   Gates whose thresholds depend on parallelism are scaled down on
-//!   narrow hosts; when that happens `--check` prints a
-//!   `GATE SCALED DOWN` note and the JSON gate carries
-//!   `"scaled_for_host": true`.
-//! - `--out PATH`: where to write the propagation JSON (default
-//!   `BENCH_PR2.json`).
-//! - `--out-queries PATH`: where to write the query JSON (default
-//!   `BENCH_PR3.json`).
-//! - `--out-online PATH`: where to write the incremental-maintenance
-//!   JSON (default `BENCH_PR4.json`).
-//! - `--out-concurrent PATH`: where to write the concurrent-serving
-//!   JSON (default `BENCH_PR5.json`).
-//! - `--out-sharded PATH`: where to write the sharded-engine JSON
-//!   (default `BENCH_PR6.json`).
-//! - `--out-durable PATH`: where to write the durability JSON
-//!   (default `BENCH_PR7.json`).
-//! - `--nodes N`: reference graph size (default 1024).
+//!   narrow hosts; `--check` then prints a `GATE SCALED DOWN` note and
+//!   the JSON gate carries `"scaled_for_host": true`.
+//! - `--out-dir DIR`: where `BENCH_PR2.json` … `BENCH_PR7.json` go
+//!   (default: the current directory).
 //!
 //! Every payload records the host core count under `"host"` so CI
 //! artifacts from differently-sized runners are comparable.
@@ -60,80 +44,26 @@
 //! meaningless, so disagreement is a hard error (exit 2).
 
 use gvex_baselines::GnnExplainer;
+use gvex_bench::gate::{host_cores, median_ms, percentile, Gate, Report, Run};
 use gvex_bench::perf::{dense_masked_epoch, reference_graph, reference_mask, sparse_masked_epoch};
 use gvex_core::{query, Config, Engine, FsyncPolicy, StreamGvex, ViewQuery, ViewStore};
 use gvex_data::DataConfig;
 use gvex_gnn::{AdamTrainer, GcnModel, Propagation, TrainConfig};
 use gvex_graph::{Graph, GraphDb, GraphId};
 use gvex_pattern::Pattern;
+use serde_json::json;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
-/// Median wall-clock milliseconds of `reps` runs of `f`.
-fn median_ms(reps: usize, mut f: impl FnMut()) -> f64 {
-    let mut samples: Vec<f64> = (0..reps)
-        .map(|_| {
-            let t = Instant::now();
-            f();
-            t.elapsed().as_secs_f64() * 1e3
-        })
-        .collect();
-    samples.sort_by(|a, b| a.total_cmp(b));
-    samples[samples.len() / 2]
-}
+/// Reference graph size for the propagation section.
+const NODES: usize = 1024;
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let check = args.iter().any(|a| a == "--check");
-    let out_path = args
-        .iter()
-        .position(|a| a == "--out")
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-        .unwrap_or_else(|| "BENCH_PR2.json".to_string());
-    let out_queries = args
-        .iter()
-        .position(|a| a == "--out-queries")
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-        .unwrap_or_else(|| "BENCH_PR3.json".to_string());
-    let out_online = args
-        .iter()
-        .position(|a| a == "--out-online")
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-        .unwrap_or_else(|| "BENCH_PR4.json".to_string());
-    let out_concurrent = args
-        .iter()
-        .position(|a| a == "--out-concurrent")
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-        .unwrap_or_else(|| "BENCH_PR5.json".to_string());
-    let out_sharded = args
-        .iter()
-        .position(|a| a == "--out-sharded")
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-        .unwrap_or_else(|| "BENCH_PR6.json".to_string());
-    let out_durable = args
-        .iter()
-        .position(|a| a == "--out-durable")
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-        .unwrap_or_else(|| "BENCH_PR7.json".to_string());
-    let nodes: usize = args
-        .iter()
-        .position(|a| a == "--nodes")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(1024);
+    let mut run = Run::from_args();
+    let cores = host_cores();
 
-    // Host width, recorded in every payload and used to scale the
-    // parallelism-dependent gates to what the machine can express.
-    let cores = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
-
-    let g = reference_graph(nodes, 42);
+    let g = reference_graph(NODES, 42);
     let mask = reference_mask(&g, 7);
     let model = GcnModel::new(g.feature_dim(), 32, 2, 3, 1);
     let prop = Propagation::new(&g);
@@ -170,7 +100,7 @@ fn main() {
     });
 
     // Raw operator application: S · X, sparse kernel vs dense matmul.
-    let dense_s = prop.to_dense();
+    let dense_s = prop.csr().to_dense();
     let x = g.features();
     let spmm_dense_ms = median_ms(reps, || {
         std::hint::black_box(dense_s.matmul(x));
@@ -192,57 +122,44 @@ fn main() {
     eprintln!("operator apply: dense {spmm_dense_ms:.3} ms, sparse {spmm_sparse_ms:.3} ms ({spmm_speedup:.1}x)");
     eprintln!("explain (5 epochs, sparse): {explain_ms:.3} ms");
 
-    let json = serde_json::json!({
-        "pr": 2u32,
-        "host": serde_json::json!({ "cores": cores as u64 }),
-        "graph": serde_json::json!({
-            "nodes": g.num_nodes() as u64,
-            "edges": g.num_edges() as u64,
-            "avg_degree": g.avg_degree(),
-            "operator_nnz": prop.csr().nnz() as u64,
-        }),
-        "model": serde_json::json!({ "hidden": 32u32, "layers": 3u32 }),
-        "reps": reps as u64,
-        "results": serde_json::json!([
-            serde_json::json!({
+    run.write(
+        Report::new(2)
+            .section(
+                "graph",
+                json!({
+                    "nodes": g.num_nodes() as u64,
+                    "edges": g.num_edges() as u64,
+                    "avg_degree": g.avg_degree(),
+                    "operator_nnz": prop.csr().nnz() as u64,
+                }),
+            )
+            .section("model", json!({ "hidden": 32u32, "layers": 3u32 }))
+            .section("reps", json!(reps as u64))
+            .section(
+                "parity",
+                json!({
+                    "loss_delta": (sp.loss - dn.loss).abs(),
+                    "max_edge_grad_delta": max_grad_delta,
+                }),
+            )
+            .result(json!({
                 "name": "masked_propagation_epoch",
                 "dense_ms": epoch_dense_ms,
                 "sparse_ms": epoch_sparse_ms,
                 "speedup": epoch_speedup,
-            }),
-            serde_json::json!({
+            }))
+            .result(json!({
                 "name": "operator_apply",
                 "dense_ms": spmm_dense_ms,
                 "sparse_ms": spmm_sparse_ms,
                 "speedup": spmm_speedup,
-            }),
-            serde_json::json!({
+            }))
+            .result(json!({
                 "name": "gnnexplainer_learn_mask_5_epochs",
                 "sparse_ms": explain_ms,
-            }),
-        ]),
-        "parity": serde_json::json!({
-            "loss_delta": (sp.loss - dn.loss).abs(),
-            "max_edge_grad_delta": max_grad_delta,
-        }),
-        "gate": serde_json::json!({
-            "metric": "masked_propagation_epoch.speedup",
-            "threshold": 1.0f64,
-            "value": epoch_speedup,
-            "pass": epoch_speedup >= 1.0,
-        }),
-    });
-    let pretty = serde_json::to_string_pretty(&json).expect("serializable");
-    std::fs::write(&out_path, pretty + "\n").expect("write bench json");
-    eprintln!("wrote {out_path}");
-
-    if check && epoch_speedup < 1.0 {
-        eprintln!(
-            "GATE FAILED: sparse masked propagation ({epoch_sparse_ms:.3} ms) is slower than \
-             the dense baseline ({epoch_dense_ms:.3} ms)"
-        );
-        std::process::exit(1);
-    }
+            }))
+            .gate(Gate::at_least("masked_propagation_epoch.speedup", epoch_speedup, 1.0)),
+    );
 
     // ---- indexed view-query answering vs the naive VF2 scan ----------
     //
@@ -293,40 +210,26 @@ fn main() {
         qdb.len()
     );
 
-    let qjson = serde_json::json!({
-        "pr": 3u32,
-        "host": serde_json::json!({ "cores": cores as u64 }),
-        "database": serde_json::json!({
-            "graphs": qdb.len() as u64,
-            "total_nodes": qdb.total_nodes() as u64,
-            "total_edges": qdb.total_edges() as u64,
-        }),
-        "probes": probes.iter().map(|(n, _)| *n).collect::<Vec<_>>(),
-        "reps": query_reps as u64,
-        "results": serde_json::json!([serde_json::json!({
-            "name": "view_query_graphs_containing",
-            "scan_ms": scan_ms,
-            "indexed_ms": indexed_ms,
-            "speedup": query_speedup,
-        })]),
-        "gate": serde_json::json!({
-            "metric": "view_query_graphs_containing.speedup",
-            "threshold": 1.0f64,
-            "value": query_speedup,
-            "pass": query_speedup >= 1.0,
-        }),
-    });
-    let pretty = serde_json::to_string_pretty(&qjson).expect("serializable");
-    std::fs::write(&out_queries, pretty + "\n").expect("write query bench json");
-    eprintln!("wrote {out_queries}");
-
-    if check && query_speedup < 1.0 {
-        eprintln!(
-            "GATE FAILED: indexed query answering ({indexed_ms:.4} ms) is slower than the \
-             naive VF2 scan ({scan_ms:.3} ms)"
-        );
-        std::process::exit(1);
-    }
+    run.write(
+        Report::new(3)
+            .section(
+                "database",
+                json!({
+                    "graphs": qdb.len() as u64,
+                    "total_nodes": qdb.total_nodes() as u64,
+                    "total_edges": qdb.total_edges() as u64,
+                }),
+            )
+            .section("probes", json!(probes.iter().map(|(n, _)| *n).collect::<Vec<_>>()))
+            .section("reps", json!(query_reps as u64))
+            .result(json!({
+                "name": "view_query_graphs_containing",
+                "scan_ms": scan_ms,
+                "indexed_ms": indexed_ms,
+                "speedup": query_speedup,
+            }))
+            .gate(Gate::at_least("view_query_graphs_containing.speedup", query_speedup, 1.0)),
+    );
 
     // ---- incremental view maintenance vs full view recompute ----------
     //
@@ -390,8 +293,7 @@ fn main() {
         std::hint::black_box(engine.insert_graph(g.clone(), None));
         incr_samples.push(t.elapsed().as_secs_f64() * 1e3);
     }
-    incr_samples.sort_by(|a, b| a.total_cmp(b));
-    let incremental_ms = incr_samples[incr_samples.len() / 2];
+    let incremental_ms = percentile(&mut incr_samples, 0.5);
     let ids_final = engine.db().label_group(label);
     warm.warm(&omodel, &engine.db(), &ids_final);
     let full_ms = median_ms(5, || {
@@ -411,39 +313,29 @@ fn main() {
         ids_final.len()
     );
 
-    let ojson = serde_json::json!({
-        "pr": 4u32,
-        "host": serde_json::json!({ "cores": cores as u64 }),
-        "database": serde_json::json!({
-            "graphs": engine.db().len() as u64,
-            "label": label as u64,
-            "label_group": ids_final.len() as u64,
-            "arrivals": arrivals.len() as u64,
-        }),
-        "results": serde_json::json!([serde_json::json!({
-            "name": "incremental_insert_vs_full_recompute",
-            "full_recompute_ms": full_ms,
-            "incremental_insert_ms": incremental_ms,
-            "speedup": online_speedup,
-        })]),
-        "gate": serde_json::json!({
-            "metric": "incremental_insert_vs_full_recompute.speedup",
-            "threshold": 5.0f64,
-            "value": online_speedup,
-            "pass": online_speedup >= 5.0,
-        }),
-    });
-    let pretty = serde_json::to_string_pretty(&ojson).expect("serializable");
-    std::fs::write(&out_online, pretty + "\n").expect("write online bench json");
-    eprintln!("wrote {out_online}");
-
-    if check && online_speedup < 5.0 {
-        eprintln!(
-            "GATE FAILED: incremental single-graph insert ({incremental_ms:.2} ms) is not at \
-             least 5x faster than a full explain_label recompute ({full_ms:.2} ms)"
-        );
-        std::process::exit(1);
-    }
+    run.write(
+        Report::new(4)
+            .section(
+                "database",
+                json!({
+                    "graphs": engine.db().len() as u64,
+                    "label": label as u64,
+                    "label_group": ids_final.len() as u64,
+                    "arrivals": arrivals.len() as u64,
+                }),
+            )
+            .result(json!({
+                "name": "incremental_insert_vs_full_recompute",
+                "full_recompute_ms": full_ms,
+                "incremental_insert_ms": incremental_ms,
+                "speedup": online_speedup,
+            }))
+            .gate(Gate::at_least(
+                "incremental_insert_vs_full_recompute.speedup",
+                online_speedup,
+                5.0,
+            )),
+    );
 
     // ---- concurrent serving: pooled label-parallel explain_all ---------
     //
@@ -503,8 +395,7 @@ fn main() {
                 t.elapsed().as_secs_f64() * 1e3
             })
             .collect();
-        samples.sort_by(|a, b| a.total_cmp(b));
-        samples[samples.len() / 2]
+        percentile(&mut samples, 0.5)
     };
     let seq_ms = time_explain_all(1);
     let par_ms = time_explain_all(0);
@@ -575,77 +466,41 @@ fn main() {
     // The speedup a machine can deliver is bounded by its cores; the 2x
     // bar is enforced where CI runs (>= 4 cores) and scaled down on
     // narrower machines so the gate measures the code, not the host.
-    let speedup_threshold = if cores >= 4 {
-        2.0
-    } else if cores >= 2 {
-        1.2
-    } else {
-        0.0
-    };
-    let speedup_scaled_down = speedup_threshold < 2.0;
-    if check && speedup_scaled_down {
-        eprintln!(
-            "GATE SCALED DOWN: label_parallel_explain_all.speedup threshold \
-             {speedup_threshold:.1}x (full bar 2.0x needs >= 4 cores; host has {cores})"
-        );
-    }
-    let speedup_pass = concurrent_speedup >= speedup_threshold;
-    let readers_pass = reads_served > 0;
-    let cjson = serde_json::json!({
-        "pr": 5u32,
-        "host": serde_json::json!({ "cores": cores as u64 }),
-        "database": serde_json::json!({
-            "graphs": cdb.len() as u64,
-            "label_groups": num_labels as u64,
-            "cores": cores as u64,
-        }),
-        "results": serde_json::json!([
-            serde_json::json!({
+    run.write(
+        Report::new(5)
+            .section(
+                "database",
+                json!({
+                    "graphs": cdb.len() as u64,
+                    "label_groups": num_labels as u64,
+                    "cores": cores as u64,
+                }),
+            )
+            .result(json!({
                 "name": "label_parallel_explain_all",
                 "sequential_ms": seq_ms,
                 "pooled_ms": par_ms,
                 "speedup": concurrent_speedup,
-            }),
-            serde_json::json!({
+            }))
+            .result(json!({
                 "name": "reader_throughput_under_writer",
                 "reader_threads": reader_threads as u64,
                 "reads_served": reads_served as u64,
                 "writer_batches": writer_batches as u64,
                 "writer_ms": writer_ms,
-            }),
-        ]),
-        "gates": serde_json::json!([
-            serde_json::json!({
-                "metric": "label_parallel_explain_all.speedup",
-                "threshold": speedup_threshold,
-                "value": concurrent_speedup,
-                "pass": speedup_pass,
-                "scaled_for_host": speedup_scaled_down,
-            }),
-            serde_json::json!({
-                "metric": "reader_throughput_under_writer.reads_served",
-                "threshold": 1.0f64,
-                "value": reads_served as f64,
-                "pass": readers_pass,
-            }),
-        ]),
-    });
-    let pretty = serde_json::to_string_pretty(&cjson).expect("serializable");
-    std::fs::write(&out_concurrent, pretty + "\n").expect("write concurrent bench json");
-    eprintln!("wrote {out_concurrent}");
-
-    if check && !speedup_pass {
-        eprintln!(
-            "GATE FAILED: pooled label-parallel explain_all ({par_ms:.1} ms) did not beat the \
-             sequential loop ({seq_ms:.1} ms) by the required {speedup_threshold:.1}x on \
-             {cores} cores"
-        );
-        std::process::exit(1);
-    }
-    if check && !readers_pass {
-        eprintln!("GATE FAILED: no reads were served while the writer mutated");
-        std::process::exit(1);
-    }
+            }))
+            .gate(Gate::at_least_for_cores(
+                "label_parallel_explain_all.speedup",
+                concurrent_speedup,
+                cores,
+                [2.0, 1.2, 0.0],
+            ))
+            .gate(Gate::at_least(
+                "reader_throughput_under_writer.reads_served",
+                reads_served as f64,
+                1.0,
+            )),
+    );
 
     // ---- sharded scatter-gather engine --------------------------------
     //
@@ -844,40 +699,26 @@ fn main() {
     // per-arrival match work, so warm runs beat parity), and the bar
     // only guards against sharding overhead regressions, with headroom
     // for cold-cache first runs.
-    let shard_threshold = if cores >= 4 {
-        1.3
-    } else if cores >= 2 {
-        1.0
-    } else {
-        0.85
-    };
-    let shard_scaled_down = shard_threshold < 1.3;
-    if check && shard_scaled_down {
-        eprintln!(
-            "GATE SCALED DOWN: sharded_insert_query_throughput.scaling threshold \
-             {shard_threshold:.1}x (full bar 1.3x needs >= 4 cores; host has {cores})"
-        );
-    }
-    let shard_pass = shard_scaling >= shard_threshold;
-    let sjson = serde_json::json!({
-        "pr": 6u32,
-        "host": serde_json::json!({ "cores": cores as u64 }),
-        "database": serde_json::json!({
-            "graphs": scale_graphs as u64,
-            "classes": 5u64,
-            "generate_ms": generate_ms,
-            "build_1shard_ms": build1_ms,
-            "build_2shard_ms": build2_ms,
-        }),
-        "results": serde_json::json!([
-            serde_json::json!({
+    run.write(
+        Report::new(6)
+            .section(
+                "database",
+                json!({
+                    "graphs": scale_graphs as u64,
+                    "classes": 5u64,
+                    "generate_ms": generate_ms,
+                    "build_1shard_ms": build1_ms,
+                    "build_2shard_ms": build2_ms,
+                }),
+            )
+            .result(json!({
                 "name": "label_query_shard_probes",
                 "shards": se2.num_shards() as u64,
                 "shards_touched_label_query": shards_touched,
                 "shards_touched_unconstrained": shards_fanout,
                 "label_query_ms": label_query_ms,
-            }),
-            serde_json::json!({
+            }))
+            .result(json!({
                 "name": "sharded_insert_query_throughput",
                 "writer_threads": 2u64,
                 "reader_threads": 2u64,
@@ -888,36 +729,22 @@ fn main() {
                 "throughput_1shard_ops_s": tput_1shard,
                 "throughput_2shard_ops_s": tput_2shard,
                 "scaling": shard_scaling,
-            }),
-        ]),
-        "gates": serde_json::json!([
-            serde_json::json!({
-                "metric": "label_query_shard_probes.shards_touched",
-                "threshold": 1.0f64,
-                "value": shards_touched as f64,
-                "pass": shards_touched == 1,
-            }),
-            serde_json::json!({
-                "metric": "sharded_insert_query_throughput.scaling",
-                "threshold": shard_threshold,
-                "value": shard_scaling,
-                "pass": shard_pass,
-                "scaled_for_host": shard_scaled_down,
-            }),
-        ]),
-    });
-    let pretty = serde_json::to_string_pretty(&sjson).expect("serializable");
-    std::fs::write(&out_sharded, pretty + "\n").expect("write sharded bench json");
-    eprintln!("wrote {out_sharded}");
-
-    if check && !shard_pass {
-        eprintln!(
-            "GATE FAILED: 2-shard insert+query throughput ({tput_2shard:.0} ops/s) did not \
-             reach {shard_threshold:.1}x the 1-shard throughput ({tput_1shard:.0} ops/s) on \
-             {cores} cores"
-        );
-        std::process::exit(1);
-    }
+            }))
+            .gate(
+                Gate::at_least(
+                    "label_query_shard_probes.shards_touched",
+                    shards_touched as f64,
+                    1.0,
+                )
+                .and(shards_touched == 1),
+            )
+            .gate(Gate::at_least_for_cores(
+                "sharded_insert_query_throughput.scaling",
+                shard_scaling,
+                cores,
+                [1.3, 1.0, 0.85],
+            )),
+    );
 
     // ---- durable engine: WAL throughput + recovery --------------------
     //
@@ -1026,68 +853,33 @@ fn main() {
 
     // The throughput bar tolerates the fsync cost of group commit but
     // not a collapse; the recovery bar is generous wall-clock (the CI
-    // runner reloads a ~10^5-graph image) and carries "direction": "min"
-    // so trajectory tooling knows smaller is better.
-    let wal_threshold = 0.5f64;
-    let wal_pass = wal_ratio >= wal_threshold;
-    let recovery_budget_ms = 180_000.0f64;
-    let recovery_pass = recovery_ms <= recovery_budget_ms;
-    let djson = serde_json::json!({
-        "pr": 7u32,
-        "host": serde_json::json!({ "cores": cores as u64 }),
-        "database": serde_json::json!({
-            "graphs": scale_graphs as u64,
-            "throughput_seed_graphs": 500u64,
-            "throughput_inserts": dpool.len() as u64,
-            "fsync": "batch",
-        }),
-        "results": serde_json::json!([
-            serde_json::json!({
+    // runner reloads a ~10^5-graph image).
+    run.write(
+        Report::new(7)
+            .section(
+                "database",
+                json!({
+                    "graphs": scale_graphs as u64,
+                    "throughput_seed_graphs": 500u64,
+                    "throughput_inserts": dpool.len() as u64,
+                    "fsync": "batch",
+                }),
+            )
+            .result(json!({
                 "name": "durable_insert_throughput",
                 "inmem_ops_s": mem_ops_s,
                 "wal_ops_s": wal_ops_s,
                 "ratio": wal_ratio,
-            }),
-            serde_json::json!({
+            }))
+            .result(json!({
                 "name": "durable_recovery",
                 "checkpoint_ms": checkpoint_ms,
                 "logged_ops": logged_ops,
                 "ops_replayed": report_replayed,
                 "recovery_ms": recovery_ms,
-            }),
-        ]),
-        "gates": serde_json::json!([
-            serde_json::json!({
-                "metric": "durable_insert_throughput.ratio",
-                "threshold": wal_threshold,
-                "value": wal_ratio,
-                "pass": wal_pass,
-            }),
-            serde_json::json!({
-                "metric": "durable_recovery.recovery_ms",
-                "threshold": recovery_budget_ms,
-                "value": recovery_ms,
-                "pass": recovery_pass,
-                "direction": "min",
-            }),
-        ]),
-    });
-    let pretty = serde_json::to_string_pretty(&djson).expect("serializable");
-    std::fs::write(&out_durable, pretty + "\n").expect("write durability bench json");
-    eprintln!("wrote {out_durable}");
-
-    if check && !wal_pass {
-        eprintln!(
-            "GATE FAILED: WAL-on insert throughput ({wal_ops_s:.0} ops/s) fell below \
-             {wal_threshold}x the in-memory rate ({mem_ops_s:.0} ops/s) under fsync=batch"
-        );
-        std::process::exit(1);
-    }
-    if check && !recovery_pass {
-        eprintln!(
-            "GATE FAILED: recovering the {scale_graphs}-graph database took {recovery_ms:.0} ms \
-             (budget {recovery_budget_ms:.0} ms)"
-        );
-        std::process::exit(1);
-    }
+            }))
+            .gate(Gate::at_least("durable_insert_throughput.ratio", wal_ratio, 0.5))
+            .gate(Gate::at_most("durable_recovery.recovery_ms", recovery_ms, 180_000.0)),
+    );
+    run.finish();
 }

@@ -20,9 +20,14 @@
 //! *unexpected* 5xx responses (admission-control 503s are deliberate
 //! and excluded).
 //!
-//! Usage: `loadgen [--check] [--out PATH] [--readers N] [--queries N]
-//! [--writer-batches N]`
+//! Usage: `loadgen [--check] [--out-dir DIR]`
+//!
+//! - `--check`: exit 1 when any gate fails (the CI serve-smoke
+//!   contract).
+//! - `--out-dir DIR`: where `BENCH_PR8.json` goes (default: the current
+//!   directory).
 
+use gvex_bench::gate::{host_cores, percentile, Gate, Report, Run};
 use gvex_core::{Config, Engine};
 use gvex_data::{mutagenicity, DataConfig, TYPE_N, TYPE_O};
 use gvex_gnn::{AdamTrainer, GcnModel};
@@ -34,14 +39,12 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 const TIMEOUT: Duration = Duration::from_secs(30);
-
-fn percentile(sorted: &[f64], p: f64) -> f64 {
-    if sorted.is_empty() {
-        return 0.0;
-    }
-    let idx = ((sorted.len() as f64 - 1.0) * p).round() as usize;
-    sorted[idx.min(sorted.len() - 1)]
-}
+/// Reader threads of the mixed-load phase.
+const READERS: usize = 2;
+/// Queries each reader issues.
+const QUERIES_PER_READER: usize = 250;
+/// Insert batches (3 graphs each) the writer streams.
+const WRITER_BATCHES: usize = 40;
 
 /// A graph in wire form with its ground-truth label attached.
 fn wire_graph(g: &Graph, truth: u16) -> Value {
@@ -53,25 +56,8 @@ fn wire_graph(g: &Graph, truth: u16) -> Value {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let check = args.iter().any(|a| a == "--check");
-    let get = |flag: &str, default: usize| -> usize {
-        args.iter()
-            .position(|a| a == flag)
-            .and_then(|i| args.get(i + 1))
-            .and_then(|s| s.parse().ok())
-            .unwrap_or(default)
-    };
-    let out_path = args
-        .iter()
-        .position(|a| a == "--out")
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-        .unwrap_or_else(|| "BENCH_PR8.json".to_string());
-    let reader_threads = get("--readers", 2);
-    let queries_per_reader = get("--queries", 250);
-    let writer_batches = get("--writer-batches", 40);
-    let cores = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
+    let mut run = Run::from_args();
+    let cores = host_cores();
 
     // Durable engine under the front end — the serving configuration
     // the README documents, not a special bench build.
@@ -93,7 +79,7 @@ fn main() {
     let handle = Server::start(
         Arc::clone(&engine),
         ServeConfig {
-            accept_threads: 2 + reader_threads,
+            accept_threads: 2 + READERS,
             exec_threads: cores.max(2),
             queue_capacity: 512,
             batch_window: Duration::from_millis(1),
@@ -106,13 +92,13 @@ fn main() {
     let addr = handle.addr();
     eprintln!(
         "loadgen: {seed_graphs} seed graphs, durable WAL at {wal_dir:?}, serving on {addr} \
-         ({reader_threads} readers x {queries_per_reader} queries, {writer_batches} writer batches)"
+         ({READERS} readers x {QUERIES_PER_READER} queries, {WRITER_BATCHES} writer batches)"
     );
 
     // Insert pool: fresh mutagenicity graphs with their truth labels,
     // in wire form (3 per batch).
     let pool: Vec<Value> = {
-        let pdb = mutagenicity(DataConfig::new(3 * writer_batches, 4242));
+        let pdb = mutagenicity(DataConfig::new(3 * WRITER_BATCHES, 4242));
         pdb.iter().map(|(id, g)| wire_graph(g, pdb.truth(id))).collect()
     };
 
@@ -123,15 +109,15 @@ fn main() {
         "types": vec![TYPE_N as u64, TYPE_O as u64],
         "edges": Value::Array(vec![json!([0u64, 1u64, 1u64])]),
     });
-    let readers: Vec<_> = (0..reader_threads)
+    let readers: Vec<_> = (0..READERS)
         .map(|_| {
             let writer_done = Arc::clone(&writer_done);
             let reads_under_writer = Arc::clone(&reads_under_writer);
             let nitro = nitro.clone();
             std::thread::spawn(move || {
                 let mut c = Client::connect(addr, TIMEOUT).expect("reader connects");
-                let mut latencies_us: Vec<f64> = Vec::with_capacity(queries_per_reader);
-                for i in 0..queries_per_reader {
+                let mut latencies_us: Vec<f64> = Vec::with_capacity(QUERIES_PER_READER);
+                for i in 0..QUERIES_PER_READER {
                     let body =
                         if i % 2 == 0 { json!({}) } else { json!({ "pattern": nitro.clone() }) };
                     let t = Instant::now();
@@ -166,11 +152,10 @@ fn main() {
     let inserted = writer.join().expect("writer thread");
     let mut latencies_us: Vec<f64> =
         readers.into_iter().flat_map(|r| r.join().expect("reader thread")).collect();
-    latencies_us.sort_by(|a, b| a.total_cmp(b));
     let reads_completed = latencies_us.len();
     let overlapped = reads_under_writer.load(Ordering::Relaxed);
-    let p50_ms = percentile(&latencies_us, 0.50) / 1e3;
-    let p99_ms = percentile(&latencies_us, 0.99) / 1e3;
+    let p50_ms = percentile(&mut latencies_us, 0.50) / 1e3;
+    let p99_ms = percentile(&mut latencies_us, 0.99) / 1e3;
     eprintln!(
         "mixed load: {reads_completed} reads ({overlapped} under the writer), {inserted} inserts; \
          read latency p50 {p50_ms:.3} ms, p99 {p99_ms:.3} ms"
@@ -250,101 +235,56 @@ fn main() {
     handle.shutdown();
     let _ = std::fs::remove_dir_all(&wal_dir);
 
-    let reads_pass = reads_completed > 0 && overlapped > 0;
-    let p99_budget_ms = 500.0f64;
-    let p99_pass = p99_ms <= p99_budget_ms;
-    let payload = json!({
-        "pr": 8u32,
-        "host": json!({ "cores": cores as u64 }),
-        "workload": json!({
-            "seed_graphs": seed_graphs as u64,
-            "reader_threads": reader_threads as u64,
-            "queries_per_reader": queries_per_reader as u64,
-            "writer_batches": writer_batches as u64,
-            "inserted": inserted as u64,
-            "durable": true,
-        }),
-        "results": json!([
-            json!({
+    let flag = |ok: bool| if ok { 1.0 } else { 0.0 };
+    run.write(
+        Report::new(8)
+            .section(
+                "workload",
+                json!({
+                    "seed_graphs": seed_graphs as u64,
+                    "reader_threads": READERS as u64,
+                    "queries_per_reader": QUERIES_PER_READER as u64,
+                    "writer_batches": WRITER_BATCHES as u64,
+                    "inserted": inserted as u64,
+                    "durable": true,
+                }),
+            )
+            .result(json!({
                 "name": "read_latency_under_writer",
                 "reads_completed": reads_completed as u64,
                 "reads_under_writer": overlapped as u64,
                 "p50_ms": p50_ms,
                 "p99_ms": p99_ms,
-            }),
-            json!({
+            }))
+            .result(json!({
                 "name": "admission",
                 "admitted": admitted,
                 "rejected": rejected,
                 "rejection_rate": rejection_rate,
                 "expired_sent": expired_total as u64,
                 "expired_rejected": expired_rejected as u64,
-            }),
-            json!({
+            }))
+            .result(json!({
                 "name": "micro_batching",
                 "occupancy": occupancy,
-            }),
-            json!({
+            }))
+            .result(json!({
                 "name": "responses",
                 "resp_5xx": resp_5xx,
                 "unexpected_5xx": unexpected_5xx,
-            }),
-        ]),
-        "gates": json!([
-            json!({
-                "metric": "read_latency_under_writer.p99_ms",
-                "threshold": p99_budget_ms,
-                "value": p99_ms,
-                "pass": p99_pass,
-                "direction": "min",
-            }),
-            json!({
-                "metric": "read_latency_under_writer.reads_completed",
-                "threshold": 1.0f64,
-                "value": reads_completed as f64,
-                "pass": reads_pass,
-            }),
-            json!({
-                "metric": "admission.deadline_enforced",
-                "threshold": 1.0f64,
-                "value": if deadline_enforced { 1.0f64 } else { 0.0 },
-                "pass": deadline_enforced,
-            }),
-            json!({
-                "metric": "session.repeatable_read",
-                "threshold": 1.0f64,
-                "value": if repeatable { 1.0f64 } else { 0.0 },
-                "pass": repeatable,
-            }),
-            json!({
-                "metric": "responses.unexpected_5xx",
-                "threshold": 0.0f64,
-                "value": unexpected_5xx as f64,
-                "pass": unexpected_5xx == 0,
-                "direction": "min",
-            }),
-        ]),
-    });
-    let pretty = serde_json::to_string_pretty(&payload).expect("serializable");
-    std::fs::write(&out_path, pretty + "\n").expect("write bench json");
-    eprintln!("wrote {out_path}");
-
-    if check {
-        let mut failed = false;
-        for (ok, what) in [
-            (p99_pass, "read p99 exceeded its budget"),
-            (reads_pass, "no reads completed under the sustained writer"),
-            (deadline_enforced, "an expired-deadline request was not 503'd or was executed"),
-            (repeatable, "pinned-session reads were not byte-identical across a write"),
-            (unexpected_5xx == 0, "unexpected 5xx responses beyond admission rejections"),
-        ] {
-            if !ok {
-                eprintln!("GATE FAILED: {what}");
-                failed = true;
-            }
-        }
-        if failed {
-            std::process::exit(1);
-        }
-    }
+            }))
+            .gate(Gate::at_most("read_latency_under_writer.p99_ms", p99_ms, 500.0))
+            .gate(
+                Gate::at_least(
+                    "read_latency_under_writer.reads_completed",
+                    reads_completed as f64,
+                    1.0,
+                )
+                .and(overlapped > 0),
+            )
+            .gate(Gate::at_least("admission.deadline_enforced", flag(deadline_enforced), 1.0))
+            .gate(Gate::at_least("session.repeatable_read", flag(repeatable), 1.0))
+            .gate(Gate::at_most("responses.unexpected_5xx", unexpected_5xx as f64, 0.0)),
+    );
+    run.finish();
 }

@@ -22,47 +22,31 @@
 //! the same seed — a perf number for a divergent database would be
 //! meaningless (exit 2).
 //!
-//! Usage: `paging_bench [--check] [--out PATH] [--graphs N]`
+//! Usage: `paging_bench [--check] [--out-dir DIR]`
 //!
-//! - `--check`: exit non-zero when any gate fails (the CI paging-smoke
+//! - `--check`: exit 1 when any gate fails (the CI paging-smoke
 //!   contract).
-//! - `--out PATH`: where to write the JSON (default `BENCH_PR9.json`).
-//! - `--graphs N`: database scale (default 100000).
+//! - `--out-dir DIR`: where `BENCH_PR9.json` goes (default: the current
+//!   directory).
 
+use gvex_bench::gate::{percentile, Gate, Report, Run};
 use gvex_core::{Config, Engine, ViewQuery};
 use gvex_gnn::GcnModel;
 use gvex_graph::{ClassLabel, GraphDb, GraphId};
+use serde_json::json;
 use std::time::Instant;
 
-/// (p50, p90, p99) of a sample set, in nanoseconds.
-fn percentiles_ns(samples: &mut [f64]) -> (f64, f64, f64) {
-    samples.sort_by(|a, b| a.total_cmp(b));
-    let at = |q: usize| samples[(samples.len() * q) / 100];
-    (at(50), at(90), at(99))
-}
+/// Database scale: the MalNet-scale 10^5-graph regime.
+const GRAPHS: usize = 100_000;
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let check = args.iter().any(|a| a == "--check");
-    let out_path = args
-        .iter()
-        .position(|a| a == "--out")
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-        .unwrap_or_else(|| "BENCH_PR9.json".to_string());
-    let scale_graphs: usize = args
-        .iter()
-        .position(|a| a == "--graphs")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(100_000);
-    let cores = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
+    let mut run = Run::from_args();
 
     // MalNet-scale database with predicted := truth (queries and
     // explanations run against ground-truth labels; no training).
     let gen_t = Instant::now();
     let sdb = {
-        let mut db = gvex_data::malnet_scale(scale_graphs, 23);
+        let mut db = gvex_data::malnet_scale(GRAPHS, 23);
         let ids: Vec<GraphId> = db.iter().map(|(id, _)| id).collect();
         for id in ids {
             let truth = db.truth(id);
@@ -80,7 +64,7 @@ fn main() {
     // headroom for fault-in drift between rebalance points.
     let budget = full_bytes / 5;
     eprintln!(
-        "database: {scale_graphs} graphs, {full_bytes} payload bytes, generated in \
+        "database: {GRAPHS} graphs, {full_bytes} payload bytes, generated in \
          {generate_ms:.0} ms; budget {budget} bytes (20%)"
     );
 
@@ -180,7 +164,8 @@ fn main() {
                         samples.push(t.elapsed().as_secs_f64() * 1e9);
                     }
                 }
-                percentiles_ns(&mut samples)
+                let mut at = |p| percentile(&mut samples, p);
+                (at(0.50), at(0.90), at(0.99))
             })
             .min_by(|a, b| a.2.total_cmp(&b.2))
             .expect("three rounds")
@@ -207,29 +192,25 @@ fn main() {
     let peak_fraction = stats.peak_resident_bytes as f64 / full_bytes as f64;
     let _ = std::fs::remove_dir_all(&dir);
 
-    // ---- gates --------------------------------------------------------
-    let lazy_pass = faults_at_open == 0 && resident_at_open == 0;
-    let faults_pass = stats.faults > 0;
-    let peak_pass = peak_fraction <= 0.25;
-    let p99_pass = p99_ratio <= 2.0;
-    let json = serde_json::json!({
-        "pr": 9u32,
-        "host": serde_json::json!({ "cores": cores as u64 }),
-        "database": serde_json::json!({
-            "graphs": scale_graphs as u64,
-            "full_payload_bytes": full_bytes,
-            "memory_budget_bytes": budget,
-            "generate_ms": generate_ms,
-            "seed_image_ms": seed_ms,
-        }),
-        "results": serde_json::json!([
-            serde_json::json!({
+    run.write(
+        Report::new(9)
+            .section(
+                "database",
+                json!({
+                    "graphs": GRAPHS as u64,
+                    "full_payload_bytes": full_bytes,
+                    "memory_budget_bytes": budget,
+                    "generate_ms": generate_ms,
+                    "seed_image_ms": seed_ms,
+                }),
+            )
+            .result(json!({
                 "name": "lazy_recovery",
                 "recovery_ms": recovery_ms,
                 "faults_at_open": faults_at_open,
                 "resident_bytes_at_open": resident_at_open,
-            }),
-            serde_json::json!({
+            }))
+            .result(json!({
                 "name": "paged_workload",
                 "workload_ms": workload_ms,
                 "faults": stats.faults,
@@ -239,8 +220,8 @@ fn main() {
                 "hit_rate": stats.hit_rate(),
                 "peak_resident_bytes": stats.peak_resident_bytes,
                 "peak_resident_fraction": peak_fraction,
-            }),
-            serde_json::json!({
+            }))
+            .result(json!({
                 "name": "warm_read_p99",
                 "hot_graphs": hot.len() as u64,
                 "paged_p50_ns": paged_p50,
@@ -250,67 +231,14 @@ fn main() {
                 "inmem_p90_ns": inmem_p90,
                 "inmem_p99_ns": inmem_p99,
                 "ratio": p99_ratio,
-            }),
-        ]),
-        "gates": serde_json::json!([
-            serde_json::json!({
-                "metric": "lazy_recovery.faults_at_open",
-                "threshold": 0.0f64,
-                "value": faults_at_open as f64,
-                "pass": lazy_pass,
-                "direction": "min",
-            }),
-            serde_json::json!({
-                "metric": "paged_workload.faults",
-                "threshold": 1.0f64,
-                "value": stats.faults as f64,
-                "pass": faults_pass,
-            }),
-            serde_json::json!({
-                "metric": "paged_workload.peak_resident_fraction",
-                "threshold": 0.25f64,
-                "value": peak_fraction,
-                "pass": peak_pass,
-                "direction": "min",
-            }),
-            serde_json::json!({
-                "metric": "warm_read_p99.ratio",
-                "threshold": 2.0f64,
-                "value": p99_ratio,
-                "pass": p99_pass,
-                "direction": "min",
-            }),
-        ]),
-    });
-    let pretty = serde_json::to_string_pretty(&json).expect("serializable");
-    std::fs::write(&out_path, pretty + "\n").expect("write paging bench json");
-    eprintln!("wrote {out_path}");
-
-    if check && !lazy_pass {
-        eprintln!(
-            "GATE FAILED: recovery was not lazy — {faults_at_open} faults, \
-             {resident_at_open} resident bytes at open"
-        );
-        std::process::exit(1);
-    }
-    if check && !faults_pass {
-        eprintln!("GATE FAILED: workload faulted no payloads — the paging tier never engaged");
-        std::process::exit(1);
-    }
-    if check && !peak_pass {
-        eprintln!(
-            "GATE FAILED: peak resident payload bytes {} are {:.1}% of the in-memory footprint \
-             (budget 20%, gate 25%)",
-            stats.peak_resident_bytes,
-            100.0 * peak_fraction
-        );
-        std::process::exit(1);
-    }
-    if check && !p99_pass {
-        eprintln!(
-            "GATE FAILED: paged warm-read p99 ({paged_p99:.0} ns) exceeded 2x the in-memory \
-             engine ({inmem_p99:.0} ns)"
-        );
-        std::process::exit(1);
-    }
+            }))
+            .gate(
+                Gate::at_most("lazy_recovery.faults_at_open", faults_at_open as f64, 0.0)
+                    .and(resident_at_open == 0),
+            )
+            .gate(Gate::at_least("paged_workload.faults", stats.faults as f64, 1.0))
+            .gate(Gate::at_most("paged_workload.peak_resident_fraction", peak_fraction, 0.25))
+            .gate(Gate::at_most("warm_read_p99.ratio", p99_ratio, 2.0)),
+    );
+    run.finish();
 }

@@ -23,21 +23,25 @@
 //! any re-read that is not byte-identical to the pinned canon is a
 //! hard failure (exit 2) — expiry must never mutate what a pin can see.
 //!
-//! Usage: `stream_bench [--check] [--out PATH] [--window N]`
+//! Usage: `stream_bench [--check] [--out-dir DIR]`
 //!
-//! - `--check`: exit non-zero when any gate fails (the CI stream-smoke
+//! - `--check`: exit 1 when any gate fails (the CI stream-smoke
 //!   contract).
-//! - `--out PATH`: where to write the JSON (default `BENCH_PR10.json`).
-//! - `--window N`: retention window in graphs (default 256; the stream
-//!   is always 24× the window).
+//! - `--out-dir DIR`: where `BENCH_PR10.json` goes (default: the current
+//!   directory).
 
+use gvex_bench::gate::{Gate, Report, Run};
 use gvex_core::{Config, Engine, RetentionPolicy, ViewQuery, Window};
 use gvex_gnn::GcnModel;
 use gvex_graph::{Graph, GraphDb, GraphId};
+use serde_json::json;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::time::Instant;
 
 const BATCH: usize = 32;
+/// Retention window in graphs.
+const WINDOW: usize = 256;
+/// The stream is this many windows long.
 const STREAM_FACTOR: usize = 24;
 
 /// Byte-identity canon of one payload: node types, feature bits, and
@@ -60,22 +64,8 @@ fn dir_bytes(dir: &std::path::Path) -> u64 {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let check = args.iter().any(|a| a == "--check");
-    let out_path = args
-        .iter()
-        .position(|a| a == "--out")
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-        .unwrap_or_else(|| "BENCH_PR10.json".to_string());
-    let window: usize = args
-        .iter()
-        .position(|a| a == "--window")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(256);
-    let cores = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
-    let stream_len = window * STREAM_FACTOR;
+    let mut run = Run::from_args();
+    let stream_len = WINDOW * STREAM_FACTOR;
 
     // The arrival stream: MalNet-scale call graphs, classified on
     // insert (truth withheld — this is the triage workload).
@@ -97,12 +87,12 @@ fn main() {
         .collect();
     let stream_bytes = *prefix.last().unwrap_or(&0);
     let window_tail_bytes =
-        |upto: usize| prefix[upto - 1] - if upto > window { prefix[upto - window - 1] } else { 0 };
+        |upto: usize| prefix[upto - 1] - if upto > WINDOW { prefix[upto - WINDOW - 1] } else { 0 };
     let est_window_bytes = window_tail_bytes(arrivals.len());
     let feat = arrivals.first().map(|g| g.feature_dim()).unwrap_or(1);
     let model = GcnModel::new(feat, 8, 5, 2, 7);
     eprintln!(
-        "stream: {stream_len} graphs ({stream_bytes} payload bytes) over a {window}-graph \
+        "stream: {stream_len} graphs ({stream_bytes} payload bytes) over a {WINDOW}-graph \
          window (~{est_window_bytes} bytes), generated in {generate_ms:.0} ms"
     );
 
@@ -115,7 +105,7 @@ fn main() {
     // the stream runs 24× past the window.
     let engine = Engine::builder(model, GraphDb::new())
         .config(Config::with_bounds(0, 4))
-        .retention(RetentionPolicy::Window(Window::last_graphs(window)))
+        .retention(RetentionPolicy::Window(Window::last_graphs(WINDOW)))
         .durable(&dir)
         .checkpoint_every(4)
         .memory_budget(est_window_bytes * 3 / 4)
@@ -204,96 +194,50 @@ fn main() {
         std::process::exit(2);
     }
 
-    // ---- gates --------------------------------------------------------
-    // Thresholds hold at the default scale on a 1-core host; throughput
-    // is a conservative floor (~0.25x a cold CI box).
-    let peak_pass = peak_over_window <= 1.2;
-    let disk_pass = disk_over_window <= 10.0;
-    let throughput_floor = 300.0;
-    let throughput_pass = throughput >= throughput_floor;
-    let json = serde_json::json!({
-        "pr": 10u32,
-        "host": serde_json::json!({ "cores": cores as u64 }),
-        "stream": serde_json::json!({
-            "graphs": stream_len as u64,
-            "window_graphs": window as u64,
-            "stream_factor": STREAM_FACTOR as u64,
-            "batch": BATCH as u64,
-            "stream_payload_bytes": stream_bytes,
-            "generate_ms": generate_ms,
-        }),
-        "results": serde_json::json!([
-            serde_json::json!({
+    // Thresholds hold on a 1-core host; the throughput gate is a
+    // conservative floor (~0.25x a cold CI box).
+    run.write(
+        Report::new(10)
+            .section(
+                "stream",
+                json!({
+                    "graphs": stream_len as u64,
+                    "window_graphs": WINDOW as u64,
+                    "stream_factor": STREAM_FACTOR as u64,
+                    "batch": BATCH as u64,
+                    "stream_payload_bytes": stream_bytes,
+                    "generate_ms": generate_ms,
+                }),
+            )
+            .result(json!({
                 "name": "bounded_memory",
                 "steady_window_bytes": steady_window_bytes,
                 "peak_resident_bytes": pager.peak_resident_bytes,
                 "peak_over_window": peak_over_window,
                 "evictions": pager.evictions,
                 "spilled_bytes": pager.spilled_bytes,
-            }),
-            serde_json::json!({
+            }))
+            .result(json!({
                 "name": "bounded_disk",
                 "disk_high_water_bytes": disk_high_water,
                 "disk_over_window": disk_over_window,
                 "disk_over_stream": disk_high_water as f64 / stream_bytes as f64,
-            }),
-            serde_json::json!({
+            }))
+            .result(json!({
                 "name": "ingest_throughput",
                 "stream_secs": stream_secs,
                 "graphs_per_sec": throughput,
                 "live_graphs": w.live_graphs,
                 "expired_total": w.expired_total,
-            }),
-            serde_json::json!({
+            }))
+            .result(json!({
                 "name": "pinned_identity",
                 "concurrent_reads": reads,
                 "mismatches": mismatches,
-            }),
-        ]),
-        "gates": serde_json::json!([
-            serde_json::json!({
-                "metric": "bounded_memory.peak_over_window",
-                "threshold": 1.2f64,
-                "value": peak_over_window,
-                "pass": peak_pass,
-                "direction": "min",
-            }),
-            serde_json::json!({
-                "metric": "bounded_disk.disk_over_window",
-                "threshold": 10.0f64,
-                "value": disk_over_window,
-                "pass": disk_pass,
-                "direction": "min",
-            }),
-            serde_json::json!({
-                "metric": "ingest_throughput.graphs_per_sec",
-                "threshold": throughput_floor,
-                "value": throughput,
-                "pass": throughput_pass,
-            }),
-        ]),
-    });
-    let pretty = serde_json::to_string_pretty(&json).expect("serializable");
-    std::fs::write(&out_path, pretty + "\n").expect("write stream bench json");
-    eprintln!("wrote {out_path}");
-
-    if check && !peak_pass {
-        eprintln!(
-            "GATE FAILED: peak resident {} bytes is {peak_over_window:.2}x the steady window \
-             ({steady_window_bytes} bytes); the memory bound leaked",
-            pager.peak_resident_bytes
-        );
-        std::process::exit(1);
-    }
-    if check && !disk_pass {
-        eprintln!(
-            "GATE FAILED: disk high-water {disk_high_water} bytes is {disk_over_window:.2}x the \
-             steady window; WAL truncation or extent GC is not holding"
-        );
-        std::process::exit(1);
-    }
-    if check && !throughput_pass {
-        eprintln!("GATE FAILED: {throughput:.0} graphs/s under the {throughput_floor:.0} floor");
-        std::process::exit(1);
-    }
+            }))
+            .gate(Gate::at_most("bounded_memory.peak_over_window", peak_over_window, 1.2))
+            .gate(Gate::at_most("bounded_disk.disk_over_window", disk_over_window, 10.0))
+            .gate(Gate::at_least("ingest_throughput.graphs_per_sec", throughput, 300.0)),
+    );
+    run.finish();
 }

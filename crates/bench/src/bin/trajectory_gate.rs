@@ -2,63 +2,42 @@
 //! payloads against the copies committed to the repository and fails
 //! CI when the perf trajectory regresses.
 //!
-//! Three checks per file:
+//! Payloads are parsed through [`gvex_bench::gate::Report`], the schema
+//! the bench bins write, so the pass rule, the direction default and
+//! the regression bands live in one place. Four checks per file:
 //!
-//! 1. every gate in the fresh payload (the `"gates"` array, or the
-//!    singular `"gate"` object of the earliest payloads) carries
-//!    `"pass": true` — the bench binary also exits non-zero under
-//!    `--check`, but the committed artifact must agree with the exit
-//!    code;
+//! 1. every gate in the fresh payload carries `"pass": true` — the
+//!    bench binary also exits non-zero under `--check`, but the
+//!    committed artifact must agree with the exit code;
 //! 2. no fresh gate carries `"scaled_for_host": true` while the
 //!    payload's own `host.cores` reports a wide machine (>= 4 cores) —
 //!    scaled-down thresholds are a narrow-host concession, and a wide
 //!    CI runner silently running the easy bar would hollow the gate
 //!    out;
 //! 3. gated metrics have not regressed against the committed
-//!    trajectory: for the default bigger-is-better metrics the fresh
-//!    value must stay above half the committed value; for metrics
-//!    marked `"direction": "min"` (wall-clock budgets) it must stay
-//!    under twice the committed value. The 2x band absorbs runner
-//!    noise while still catching order-of-magnitude cliffs.
+//!    trajectory (see [`gvex_bench::gate::Gate::regressed_from`]: 0.5×
+//!    for bigger-is-better metrics, 2× for `"direction": "min"`
+//!    budgets);
+//! 4. every gate of the committed payload is still in the fresh one —
+//!    a dropped gate would otherwise pass checks 1–3 unseen.
 //!
 //! Metrics present in the fresh payload but absent from the committed
 //! copy are new — they pass check 3 by default and start anchoring the
 //! trajectory once committed. A missing committed file is reported but
 //! not fatal (the PR introducing a payload has nothing to diff
-//! against); a missing fresh file is fatal.
+//! against); a missing or unparsable fresh file is fatal.
 //!
-//! Usage: `trajectory_gate --fresh DIR [--committed DIR] [FILE ...]`
-//! (files default to the eight `BENCH_PR*.json` payloads; `--committed`
-//! defaults to the current directory). Exit 0 iff every check passes.
+//! Usage: `trajectory_gate --fresh DIR [--committed DIR] FILE...`
+//! (`--committed` defaults to the current directory). Exit 0 iff every
+//! check passes; 2 when no file is named.
 
-use serde_json::Value;
+use gvex_bench::gate::Report;
 use std::path::Path;
 
-fn num(v: &Value) -> Option<f64> {
-    match v {
-        Value::Float(f) => Some(*f),
-        Value::Int(i) => Some(*i as f64),
-        Value::UInt(u) => Some(*u as f64),
-        _ => None,
-    }
-}
-
-fn truthy(v: Option<&Value>) -> bool {
-    matches!(v, Some(Value::Bool(true)))
-}
-
-/// The payload's gates: the `"gates"` array in the newer payloads, or
-/// the singular `"gate"` object the earliest ones carry.
-fn gates(payload: &Value) -> Vec<&Value> {
-    match payload.get_field("gates") {
-        Some(Value::Array(items)) => items.iter().collect(),
-        _ => payload.get_field("gate").into_iter().collect(),
-    }
-}
-
-fn load(path: &Path) -> Result<Value, String> {
+fn load(path: &Path) -> Result<Report, String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("read {path:?}: {e}"))?;
-    serde_json::from_str(&text).map_err(|e| format!("parse {path:?}: {e}"))
+    let value = serde_json::from_str(&text).map_err(|e| format!("parse {path:?}: {e}"))?;
+    Report::from_json(&value).map_err(|e| format!("{path:?}: {e}"))
 }
 
 fn main() {
@@ -80,75 +59,32 @@ fn main() {
         }
     }
     if files.is_empty() {
-        files = (2..=9).map(|n| format!("BENCH_PR{n}.json")).collect();
+        eprintln!("usage: trajectory_gate --fresh DIR [--committed DIR] FILE...");
+        std::process::exit(2);
     }
 
     let mut failures: Vec<String> = Vec::new();
     for file in &files {
-        let fresh_path = Path::new(&fresh_dir).join(file);
-        let fresh = match load(&fresh_path) {
-            Ok(v) => v,
+        let fresh = match load(&Path::new(&fresh_dir).join(file)) {
+            Ok(r) => r,
             Err(e) => {
                 failures.push(format!("{file}: fresh payload unreadable ({e})"));
                 continue;
             }
         };
-        let cores =
-            fresh.get_field("host").and_then(|h| h.get_field("cores")).and_then(num).unwrap_or(0.0);
+        failures.extend(fresh.failures().into_iter().map(|f| format!("{file}: {f}")));
 
-        for gate in gates(&fresh) {
-            let metric = match gate.get_field("metric") {
-                Some(Value::String(s)) => s.clone(),
-                _ => "<unnamed>".to_string(),
-            };
-            if !truthy(gate.get_field("pass")) {
-                failures.push(format!("{file}: gate {metric} has pass=false"));
-            }
-            if truthy(gate.get_field("scaled_for_host")) && cores >= 4.0 {
-                failures.push(format!(
-                    "{file}: gate {metric} ran a host-scaled threshold on a {cores:.0}-core \
-                     runner — wide machines must clear the full bar"
-                ));
-            }
-        }
-
-        let committed_path = Path::new(&committed_dir).join(file);
-        let committed = match load(&committed_path) {
-            Ok(v) => v,
+        let committed = match load(&Path::new(&committed_dir).join(file)) {
+            Ok(r) => r,
             Err(_) => {
                 println!("{file}: no committed copy — trajectory starts here");
                 continue;
             }
         };
-        for gate in gates(&fresh) {
-            let Some(Value::String(metric)) = gate.get_field("metric") else { continue };
-            let Some(fresh_value) = gate.get_field("value").and_then(num) else { continue };
-            let Some(old) = gates(&committed)
-                .into_iter()
-                .find(|g| g.get_field("metric") == Some(&Value::String(metric.clone())))
-            else {
-                println!("{file}: metric {metric} is new — no trajectory to hold");
-                continue;
-            };
-            let Some(old_value) = old.get_field("value").and_then(num) else { continue };
-            let minimize =
-                matches!(gate.get_field("direction"), Some(Value::String(d)) if d == "min");
-            let regressed = if minimize {
-                fresh_value > old_value * 2.0
-            } else {
-                fresh_value < old_value * 0.5
-            };
-            if regressed {
-                failures.push(format!(
-                    "{file}: metric {metric} regressed — fresh {fresh_value:.4} vs committed \
-                     {old_value:.4} ({})",
-                    if minimize { "budget metric, > 2x slower" } else { "fell below 0.5x" }
-                ));
-            } else {
-                println!(
-                    "{file}: metric {metric} holds — fresh {fresh_value:.4} vs committed \
-                     {old_value:.4}"
-                );
+        for line in fresh.trajectory(&committed) {
+            match line {
+                Ok(note) => println!("{file}: {note}"),
+                Err(failure) => failures.push(format!("{file}: {failure}")),
             }
         }
     }

@@ -8,8 +8,13 @@
 //! from the paper's testbed (synthetic data, laptop hardware); the
 //! *shapes* — who wins, trends in `u_l`, runtime orders of magnitude —
 //! are the reproduction target (see EXPERIMENTS.md).
+//!
+//! The CI bench bins (`bench_quick`, `loadgen`, `paging_bench`,
+//! `stream_bench`) write their `BENCH_PR*.json` payloads through the
+//! [`gate`] harness, which `trajectory_gate` reads them back with.
 
 pub mod experiments;
+pub mod gate;
 pub mod perf;
 
 use gvex_baselines::{GStarX, GcfExplainer, GnnExplainer, SubgraphX};

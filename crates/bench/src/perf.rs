@@ -54,6 +54,23 @@ pub fn sparse_masked_epoch(
     EpochOut { loss, edge_grad: mg.edge }
 }
 
+/// The masked operator rebuilt as a fresh dense `|V| × |V|` matrix, as
+/// the pre-sparse implementation did: both entries of edge `e` scaled by
+/// `mask[e]`, self-loops unmasked.
+///
+/// # Panics
+/// Panics if `mask.len()` differs from the number of edges.
+fn dense_masked_operator(prop: &Propagation, mask: &[f64]) -> Matrix {
+    assert_eq!(mask.len(), prop.edge_list().len(), "mask length must equal edge count");
+    let mut s = prop.csr().to_dense();
+    for (&(u, v), &m) in prop.edge_list().iter().zip(mask) {
+        let (u, v) = (u as usize, v as usize);
+        s.set(u, v, s.get(u, v) * m);
+        s.set(v, u, s.get(v, u) * m);
+    }
+    s
+}
+
 /// One masked-propagation epoch on the **dense** path, replicating the
 /// pre-sparse implementation operation for operation: rebuild the
 /// masked `|V|×|V|` operator, dense-matmul forward, and a dense
@@ -66,7 +83,7 @@ pub fn dense_masked_epoch(
     mask: &[f64],
     target: usize,
 ) -> EpochOut {
-    let s = prop.masked_dense(mask);
+    let s = dense_masked_operator(prop, mask);
     let x = g.features();
     let n = x.rows();
 

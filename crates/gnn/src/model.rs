@@ -178,13 +178,6 @@ impl GcnModel {
         Forward { s: s.clone(), h, z, a, pooled, pool_arg, logits }
     }
 
-    /// Forward pass with a dense operator: converts to CSR and delegates
-    /// to the sparse path. For tests and tiny graphs where a dense `S` is
-    /// at hand; the conversion is `O(n²)` so production paths pass CSR.
-    pub fn forward_dense(&self, s: &Matrix, x: &Matrix) -> Forward {
-        self.forward(&CsrMatrix::from_dense(s), x)
-    }
-
     /// Forward pass on a whole graph (builds the propagation operator
     /// for this model's aggregator).
     pub fn forward_graph(&self, g: &Graph) -> Forward {

@@ -28,9 +28,9 @@ const SLOT_DIAG: u32 = u32::MAX;
 /// A graph operator has `n + 2m` stored entries on a graph that dense
 /// storage would represent with `n²` floats, so every product with it is
 /// an `O(nnz · d)` sparse×dense kernel ([`CsrMatrix::spmm_dense`]) and
-/// nothing on the message-passing hot path allocates `|V|×|V|`. The dense
-/// form remains available via [`Propagation::to_dense`] for tests, tiny
-/// graphs, and the influence closed form that is inherently dense.
+/// nothing on the message-passing hot path allocates `|V|×|V|`. Only the
+/// influence closed form ([`Propagation::power`]), which is inherently
+/// dense, materializes the operator.
 ///
 /// For `GcnSym` the operator is symmetric, so `Sᵀ = S`; the backward pass
 /// transposes explicitly so the non-symmetric `SageMean` variant is
@@ -131,12 +131,6 @@ impl Propagation {
         &self.s
     }
 
-    /// Materializes the dense `|V| × |V|` operator `S` — the dense path,
-    /// kept for tests, tiny graphs, and dense-baseline benchmarks.
-    pub fn to_dense(&self) -> Matrix {
-        self.s.to_dense()
-    }
-
     /// Number of nodes.
     #[inline]
     pub fn num_nodes(&self) -> usize {
@@ -167,27 +161,6 @@ impl Propagation {
             }
         }
         self.s.with_values(values)
-    }
-
-    /// Dense-path equivalent of [`Propagation::masked`]: rebuilds the
-    /// masked operator as a fresh `|V| × |V|` matrix, exactly as the
-    /// pre-sparse implementation did. Kept for equivalence tests and as
-    /// the dense baseline in the benchmark suite.
-    pub fn masked_dense(&self, mask: &[f64]) -> Matrix {
-        assert_eq!(mask.len(), self.edge_list.len(), "mask length must equal edge count");
-        let n = self.num_nodes();
-        let mut out = Matrix::zeros(n, n);
-        let mut slot = 0usize;
-        for r in 0..n {
-            let (cols, vals) = self.s.row(r);
-            for (&c, &v) in cols.iter().zip(vals) {
-                let e = self.slot_edge[slot];
-                let w = if e == SLOT_DIAG { v } else { v * mask[e as usize] };
-                out.set(r, c as usize, w);
-                slot += 1;
-            }
-        }
-        out
     }
 
     /// Folds a per-slot operator gradient (aligned with `csr()`'s stored
@@ -245,7 +218,7 @@ impl Propagation {
         match k {
             0 => Matrix::identity(self.num_nodes()),
             _ => {
-                let mut acc = self.to_dense();
+                let mut acc = self.s.to_dense();
                 for _ in 1..k {
                     acc = self.s.spmm_dense(&acc);
                 }
